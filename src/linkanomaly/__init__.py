@@ -15,8 +15,7 @@ from .features import (EdgeFeatureVector, FEATURE_NAMES_DIRECTED,
                        FEATURE_NAMES_UNDIRECTED, extract_edge_features,
                        extract_feature_matrix, feature_names)
 from .forest import ForestParams, LinkForest, TrainingExample, train_forest
-from .graph import (ANOMALOUS, NORMAL, Graph, build_graph, neighbors,
-                    sample_degree)
+from .graph import ANOMALOUS, NORMAL, Graph, build_graph
 from .sampling import (InjectionRecord, TestSet, build_link_training_set,
                        generate_ba, inject_anomalies, sample_test_vertices)
 
@@ -51,12 +50,10 @@ __all__ = [
     "inject_anomalies",
     "k_fold_cv",
     "load_config",
-    "neighbors",
     "precision_at_k",
     "profile_vertices",
     "rank_vertices",
     "run_experiment",
-    "sample_degree",
     "sample_test_vertices",
     "train_forest",
     "vertex_profile",

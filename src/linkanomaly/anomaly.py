@@ -51,6 +51,26 @@ class VertexAnomalyProfile:
         return np.array([self.value(name) for name in META_FEATURE_NAMES])
 
 
+def _score_edges(forest: LinkForest, g: Graph, vertices: Sequence[int], mode: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edge counts, neighbors, non-existence probabilities) of `vertices`.
+
+    The edges of all vertices are featurized and scored in one batch; the
+    neighbors and probabilities are concatenated in vertex order.
+    """
+    if mode not in DIRECTION_MODES:
+        raise ParameterError(f"direction mode must be one of {DIRECTION_MODES}, got {mode!r}")
+    if forest.feature_names is not None and forest.feature_names != feature_names(g.directed):
+        raise ShapeError(
+            "forest was trained on a different feature set than this graph mode provides")
+    vertices = np.asarray(vertices, dtype=np.int64)
+    counts, nbrs = g.gather_neighbors(vertices, mode if g.directed else "all")
+    if len(nbrs) == 0:
+        return counts, nbrs, np.empty(0)
+    pairs = np.column_stack((np.repeat(vertices, counts), nbrs))
+    return counts, nbrs, forest.predict_proba_many(extract_feature_matrix(g, pairs))
+
+
 def edge_probabilities(forest: LinkForest, g: Graph, v: int,
                        mode: str = "out") -> list[tuple[int, float]]:
     """(neighbor, non-existence probability) for each edge of `v`.
@@ -59,17 +79,10 @@ def edge_probabilities(forest: LinkForest, g: Graph, v: int,
     default (the attacker model creates outbound links); `mode` can widen
     that to inbound or all edges.  Undirected graphs always use Γ(v).
     """
-    if mode not in DIRECTION_MODES:
-        raise ParameterError(f"direction mode must be one of {DIRECTION_MODES}, got {mode!r}")
-    if forest.feature_names is not None and forest.feature_names != feature_names(g.directed):
-        raise ShapeError(
-            "forest was trained on a different feature set than this graph mode provides")
-    nbrs = g.neighbors(v, mode if g.directed else "all")
-    if len(nbrs) == 0:
+    counts, nbrs, probs = _score_edges(forest, g, [v], mode)
+    if counts[0] == 0:
         raise EmptyNeighborhoodError(f"vertex {v} has no edges to score in mode {mode!r}")
-    pairs = [(v, int(u)) for u in nbrs]
-    probs = forest.predict_proba_many(extract_feature_matrix(g, pairs))
-    return [(int(u), float(p)) for u, p in zip(nbrs, probs)]
+    return list(zip(nbrs.tolist(), probs.tolist()))
 
 
 def vertex_profile(ep: Sequence[float], threshold: float, v: int,
@@ -108,17 +121,20 @@ def profile_vertices(forest: LinkForest, g: Graph, vertices: Iterable[int],
     """Profiles for each vertex, in the given order.
 
     Vertices with no edges in the chosen mode cannot be profiled; they are
-    returned in the second list instead of failing the batch.
+    returned in the second list instead of failing the batch.  The edges of
+    all other vertices are scored in one batch.
     """
-    profiles, skipped = [], []
+    view = mode if g.directed else "all"
+    kept, skipped = [], []
     for v in vertices:
         v = int(v)
-        deg = g.degree(v, mode if g.directed else "all")
-        if deg == 0:
-            skipped.append(v)
-            continue
-        ep = [p for _, p in edge_probabilities(forest, g, v, mode)]
-        profiles.append(vertex_profile(ep, threshold, v, deg))
+        (kept if g.degree(v, view) else skipped).append(v)
+    if not kept:
+        return [], skipped
+    counts, _, probs = _score_edges(forest, g, kept, mode)
+    ends = np.cumsum(counts).tolist()
+    profiles = [vertex_profile(probs[end - deg:end], threshold, v, deg)
+                for v, deg, end in zip(kept, counts.tolist(), ends)]
     return profiles, skipped
 
 

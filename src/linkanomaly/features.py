@@ -2,9 +2,10 @@
 
 16 features for directed graphs, 7 for undirected; the order is fixed per
 mode (see FEATURE_NAMES_DIRECTED / FEATURE_NAMES_UNDIRECTED) and must be
-identical at train and predict time.  All set work is done by merge-scans
-over the graph's sorted adjacency arrays, so a full extraction pass over
-millions of pairs stays near-linear in total degree.
+identical at train and predict time.  The per-feature functions and
+`extract_edge_features` compute one pair by merge-scans over the graph's
+sorted adjacency arrays; `extract_feature_matrix` computes a whole batch
+with array operations and gives the same bits, row for row.
 """
 
 from __future__ import annotations
@@ -142,17 +143,16 @@ def adamic_adar(g: Graph, v: int, u: int) -> float:
 
     Shared neighbors with |Γ(w)| <= 1 are skipped: ln 1 = 0 has no finite
     reciprocal and a degree-0 vertex cannot be a shared neighbor anyway.
+    The terms are summed by `np.sum` in ascending w, as the batch kernel
+    sums them, so both give the same bits (numpy adds 8 or more terms
+    pairwise, not left to right).
     """
     _check_pair(g, v, u)
     if g.directed:
         raise ModeError("adamic_adar is defined for undirected graphs")
     shared = _intersect(g.neighbors(v, "all"), g.neighbors(u, "all"))
-    total = 0.0
-    for w in shared:
-        d = g.degree(int(w), "all")
-        if d > 1:
-            total += 1.0 / math.log(d)
-    return total
+    degs = np.array([g.degree(int(w), "all") for w in shared], dtype=np.int64)
+    return float(np.sum(1.0 / np.log(degs[degs > 1])))
 
 
 def _w(deg: int) -> float:
@@ -205,41 +205,106 @@ def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
     return EdgeFeatureVector(FEATURE_NAMES_UNDIRECTED, values)
 
 
-def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """(n_pairs, n_features) matrix; row i is extract_edge_features(pairs[i]).
+def _csr_keys(g: Graph, mode: str) -> np.ndarray:
+    """row * n + col of every entry of one neighbor view, ascending."""
+    indptr, indices = g._csr(mode)
+    n = g.vertex_count
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
 
-    Avoids per-pair object overhead on large batches; caches the inverse
-    log-degree used by adamic_adar across the whole batch.
+
+def _in_sorted(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each query value occurs in the ascending array `keys`."""
+    pos = np.searchsorted(keys, query)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == query[found]
+    return found
+
+
+def _shared(g: Graph, views: dict, mode_v: str, mode_u: str,
+            v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pair index, w) for every w in Γ_mode_v(v[i]) ∩ Γ_mode_u(u[i]).
+
+    Each pair gathers the smaller of its two neighbor slices (gathering both
+    would cost the hubs' degrees on hub-heavy pair sets) and looks the
+    other endpoint's (row, w) up in that view's sorted keys.  Within a pair
+    the w ascend.  `views` maps a mode to its (degrees, keys).
     """
-    n = len(pairs)
-    d = 16 if g.directed else 7
-    out = np.empty((n, d))
-    if n == 0:
-        return out
+    n = g.vertex_count
+    from_v = views[mode_v][0][v] <= views[mode_u][0][u]
+    pid, shared = [], []
+    for take, mode, rows, other, keys in ((from_v, mode_v, v, u, views[mode_u][1]),
+                                          (~from_v, mode_u, u, v, views[mode_v][1])):
+        idx = np.flatnonzero(take)
+        counts, w = g.gather_neighbors(rows[idx], mode)
+        p = np.repeat(idx, counts)
+        hit = _in_sorted(keys, other[p] * n + w)
+        pid.append(p[hit])
+        shared.append(w[hit])
+    return np.concatenate(pid), np.concatenate(shared)
 
-    if g.directed:
-        for i, (v, u) in enumerate(pairs):
-            out[i] = extract_edge_features(g, int(v), int(u)).values
-        return out
 
-    degs = g.degrees("all")
-    inv_log = np.zeros(g.vertex_count)
+def _adamic_adar_sums(degs: np.ndarray, pid: np.ndarray, w: np.ndarray,
+                      inter: np.ndarray) -> np.ndarray:
+    """Σ 1/ln|Γ(w)| per pair, with the bits of `np.sum` over its ascending w."""
+    inv_log = np.zeros(len(degs))
     big = degs > 1
     inv_log[big] = 1.0 / np.log(degs[big])
-    inv_sqrt = 1.0 / np.sqrt(1.0 + degs)
-    for i, (v, u) in enumerate(pairs):
-        v, u = int(v), int(u)
-        _check_pair(g, v, u)
-        nv, nu = g.neighbors(v, "all"), g.neighbors(u, "all")
-        shared = _intersect(nv, nu)
-        inter = len(shared)
-        union = len(nv) + len(nu) - inter
-        wv, wu = inv_sqrt[v], inv_sqrt[u]
-        out[i, 0] = union
-        out[i, 1] = inter
-        out[i, 2] = inter / union if union else 0.0
-        out[i, 3] = len(nv) * len(nu)
-        out[i, 4] = inv_log[shared].sum() if inter else 0.0
-        out[i, 5] = wv + wu
-        out[i, 6] = wv * wu
+    # bincount adds left to right, which is what np.sum does below 8 terms;
+    # numpy sums 8 or more terms pairwise, so those pairs are summed alone
+    out = np.bincount(pid, weights=inv_log[w], minlength=len(inter))
+    many = np.flatnonzero(inter >= 8)
+    if len(many):
+        w_by_pair = w[np.argsort(pid, kind="stable")]
+        ends = np.cumsum(inter)
+        for i in many.tolist():
+            out[i] = inv_log[w_by_pair[ends[i] - inter[i]:ends[i]]].sum()
     return out
+
+
+def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarray
+                           ) -> np.ndarray:
+    """(n_pairs, n_features) matrix; row i is extract_edge_features(pairs[i]).
+
+    `pairs` is a sequence of (v, u) pairs or an (n, 2) id array.  All pairs
+    are computed together: each common-neighbor count is one batched lookup
+    of gathered neighbor ids in a view's sorted CSR keys (see `_shared`).
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    v, u = pairs[:, 0], pairs[:, 1]
+    n, m = g.vertex_count, len(pairs)
+    bad = (v < 0) | (v >= n) | (u < 0) | (u >= n) | (v == u)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_pair(g, int(v[i]), int(u[i]))
+    if m == 0:
+        return np.empty((0, len(feature_names(g.directed))))
+
+    modes = ("all", "in", "out", "bi") if g.directed else ("all",)
+    views = {mode: (g.degrees(mode), _csr_keys(g, mode)) for mode in modes}
+
+    def count(mode_v: str, mode_u: str) -> np.ndarray:
+        return np.bincount(_shared(g, views, mode_v, mode_u, v, u)[0], minlength=m)
+
+    degs = views["all"][0]
+    pid, w = _shared(g, views, "all", "all", v, u)
+    inter = np.bincount(pid, minlength=m)
+    union = degs[v] + degs[u] - inter
+    jaccard = np.divide(inter, union, out=np.zeros(m), where=union > 0)
+    pref = degs[v] * degs[u]
+    if not g.directed:
+        inv_sqrt = 1.0 / np.sqrt(1.0 + degs)
+        wv, wu = inv_sqrt[v], inv_sqrt[u]
+        return np.column_stack([union, inter, jaccard, pref,
+                                _adamic_adar_sums(degs, pid, w, inter),
+                                wv + wu, wv * wu])
+
+    opposite = _in_sorted(views["out"][1], u * n + v)
+    w_in = 1.0 / np.sqrt(1.0 + views["in"][0])
+    w_out = 1.0 / np.sqrt(1.0 + views["out"][0])
+    wiv, wov, wiu, wou = w_in[v], w_out[v], w_in[u], w_out[u]
+    return np.column_stack([
+        union, count("in", "in"), count("out", "out"), count("bi", "bi"),
+        jaccard, pref, count("out", "in"), opposite,
+        wiv + wiu, wiv + wou, wov + wiu, wov + wou,
+        wiv * wiu, wiv * wou, wov * wiu, wov * wou,
+    ])

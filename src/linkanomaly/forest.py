@@ -61,6 +61,11 @@ class ForestParams:
             raise ParameterError("max_depth must be >= 0")
 
 
+# a tree's node arrays as saved, with their dtypes
+_NODE_ARRAYS = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
+                ("right", np.int32), ("count0", np.int64), ("count1", np.int64))
+
+
 @dataclass
 class _Tree:
     """Flat node arrays; `feature[i] == -1` marks a leaf."""
@@ -215,39 +220,64 @@ class LinkForest:
                 "min_leaf_size": self.params.min_leaf_size,
                 "max_depth": self.params.max_depth,
             },
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "count0": t.count0.tolist(),
-                    "count1": t.count1.tolist(),
-                }
-                for t in self.trees
-            ],
+            "trees": [{name: getattr(t, name).tolist() for name, _ in _NODE_ARRAYS}
+                      for t in self.trees],
         }
         Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "LinkForest":
+        """Read a forest file, checking every tree before any predict can use it."""
         try:
             doc = json.loads(Path(path).read_text())
         except json.JSONDecodeError as e:
             raise ShapeError(f"{path}: not a forest file ({e})") from None
-        if doc.get("format") != FOREST_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:
             raise ShapeError(f"{path}: not a {FOREST_FORMAT} file")
         if doc.get("version") != FOREST_VERSION:
             raise ShapeError(f"{path}: unsupported forest version {doc.get('version')}")
-        params = ForestParams(**doc["params"])
-        trees = [
-            _Tree(np.array(t["feature"], dtype=np.int32), np.array(t["threshold"]),
-                  np.array(t["left"], dtype=np.int32), np.array(t["right"], dtype=np.int32),
-                  np.array(t["count0"], dtype=np.int64), np.array(t["count1"], dtype=np.int64))
-            for t in doc["trees"]
-        ]
-        return cls(trees, params, tuple(doc["seed"]), doc["n_features"],
-                   doc["feature_names"])
+        try:
+            n_features, names, trees = doc["n_features"], doc["feature_names"], doc["trees"]
+            params = ForestParams(**doc["params"])
+            seed = tuple(doc["seed"])
+        except (KeyError, TypeError) as e:
+            raise ShapeError(f"{path}: malformed forest header ({e!r})") from None
+        if type(n_features) is not int or n_features < 1:
+            raise ShapeError(f"{path}: n_features must be a positive integer, got {n_features!r}")
+        if names is not None and (not isinstance(names, list) or len(names) != n_features):
+            raise ShapeError(f"{path}: feature_names must list {n_features} names")
+        if not isinstance(trees, list) or not trees:
+            raise ShapeError(f"{path}: a forest needs at least one tree")
+        return cls([_load_tree(t, n_features, f"{path}: tree {i}") for i, t in enumerate(trees)],
+                   params, seed, n_features, names)
+
+
+def _load_tree(doc, n_features: int, where: str) -> _Tree:
+    """A tree from its saved node arrays, checked so every descent ends at a leaf.
+
+    Children must come after their parent, so a descent cannot cycle, and
+    every leaf must hold examples, so its vote fraction is defined.
+    """
+    try:
+        arrays = {name: np.array(doc[name], dtype=dtype) for name, dtype in _NODE_ARRAYS}
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ShapeError(f"{where}: bad node arrays ({e!r})") from None
+    shapes = {a.shape for a in arrays.values()}
+    if len(shapes) != 1 or len(shapes.pop()) != 1 or len(arrays["feature"]) == 0:
+        raise ShapeError(f"{where}: node arrays must be non-empty, flat and of equal length")
+    t = _Tree(**arrays)
+    node = np.arange(len(t.feature))
+    internal = t.feature >= 0
+    if np.any((t.feature < -1) | (t.feature >= n_features)):
+        raise ShapeError(f"{where}: split feature out of range [-1, {n_features})")
+    for child in (t.left, t.right):
+        if np.any(internal & ((child <= node) | (child >= len(node)))):
+            raise ShapeError(f"{where}: a child index must lie after its parent and in range")
+    if not np.isfinite(t.threshold).all():
+        raise ShapeError(f"{where}: thresholds must be finite")
+    if np.any(t.count0 < 0) or np.any(t.count1 < 0) or np.any((t.count0 + t.count1)[~internal] == 0):
+        raise ShapeError(f"{where}: counts must be >= 0, and > 0 in sum at every leaf")
+    return t
 
 
 def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParams,
@@ -289,7 +319,3 @@ def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParam
              for t in range(params.tree_count)]
     return LinkForest(trees, params, seed, d, feature_names)
 
-
-def predict_proba(forest: LinkForest, x) -> float:
-    """Functional alias for :meth:`LinkForest.predict_proba`."""
-    return forest.predict_proba(x)

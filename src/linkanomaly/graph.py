@@ -150,6 +150,23 @@ class Graph:
         indptr, indices = self._csr(mode)
         return indices[indptr[v]:indptr[v + 1]]
 
+    def gather_neighbors(self, vertices, mode: str = "all") -> tuple[np.ndarray, np.ndarray]:
+        """(counts, neighbors): the neighbor sets of `vertices`, concatenated.
+
+        counts[i] is the size of vertices[i]'s set, whose sorted ids follow
+        those of vertices[i - 1] in the second array.
+        """
+        vs = np.asarray(vertices, dtype=np.int64)
+        bad = (vs < 0) | (vs >= len(self._names))
+        if bad.any():
+            self._check_vertex(int(vs[bad][0]))
+        indptr, indices = self._csr(mode)
+        start = indptr[vs]
+        counts = indptr[vs + 1] - start
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + counts, counts)
+        return counts, indices[pos]
+
     def degree(self, v: int, mode: str = "all") -> int:
         self._check_vertex(v)
         indptr, _ = self._csr(mode)
@@ -268,12 +285,3 @@ def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool,
     return Graph(names, ids, directed, labels=label_arr,
                  dropped_self_loops=n_loops, dropped_duplicates=n_dups)
 
-
-def neighbors(g: Graph, v: int, mode: str = "all") -> np.ndarray:
-    """Functional alias for :meth:`Graph.neighbors`."""
-    return g.neighbors(v, mode)
-
-
-def sample_degree(g: Graph, seed) -> int:
-    """Functional alias for :meth:`Graph.sample_degree`."""
-    return g.sample_degree(seed)

@@ -206,3 +206,41 @@ def test_dominating_ep_ranks_higher():
     low = vertex_profile(rng.uniform(0.0, 0.4, 10).tolist(), 0.8, v=1)
     high = vertex_profile(rng.uniform(0.6, 1.0, 10).tolist(), 0.8, v=2)
     assert rank_vertices([low, high], "abnormality_probability", "desc") == [2, 1]
+
+
+def _trained_host(directed):
+    """A random host with isolated vertices and a small forest trained on it."""
+    from linkanomaly import build_link_training_set, feature_names, train_forest
+    from linkanomaly.graph import Graph
+
+    rng = np.random.default_rng(31 + directed)
+    n = 120
+    src = rng.integers(0, 100, 700)  # ids 100..119 get no out-edges
+    dst = rng.integers(0, 110, 700)  # ids 110..119 get no edges at all
+    keep = src != dst
+    key = np.unique(src[keep] * n + dst[keep]) if directed else np.unique(
+        np.minimum(src, dst)[keep] * n + np.maximum(src, dst)[keep])
+    g = Graph([f"v{i:03d}" for i in range(n)], np.column_stack([key // n, key % n]), directed)
+    examples = build_link_training_set(g, set(), 200, seed=5)
+    forest = train_forest(examples, ForestParams(tree_count=7, min_leaf_size=3), seed=6,
+                          feature_names=feature_names(directed))
+    return g, forest
+
+
+@pytest.mark.parametrize("directed, mode", [(False, "out"), (True, "out"), (True, "in"),
+                                            (True, "all")])
+def test_profile_vertices_batch_equals_per_vertex(directed, mode):
+    g, forest = _trained_host(directed)
+    vertices = [115, 3, 104, 3, 50, 119, 7, 7, 112] + list(range(0, 120, 9))
+    profiles, skipped = profile_vertices(forest, g, vertices, threshold=0.6, mode=mode)
+    view = mode if directed else "all"
+    assert skipped == [v for v in vertices if g.degree(v, view) == 0]
+    assert len(skipped) >= 2
+    kept = [v for v in vertices if g.degree(v, view) > 0]
+    assert [p.vertex for p in profiles] == kept
+    for p in profiles:
+        ep = [s for _, s in edge_probabilities(forest, g, p.vertex, mode)]
+        expected = vertex_profile(ep, 0.6, p.vertex)
+        for name in META_FEATURE_NAMES:
+            assert p.value(name) == expected.value(name), (p.vertex, name)
+    assert len({p.abnormality_probability for p in profiles}) > 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkanomaly import build_graph, extract_edge_features, extract_feature_matrix
-from linkanomaly.errors import InvalidPairError, ModeError
+from linkanomaly.errors import InvalidPairError, ModeError, UnknownVertexError
 from linkanomaly.features import (FEATURE_NAMES_DIRECTED, FEATURE_NAMES_UNDIRECTED,
                                   adamic_adar, common_friends, jaccard, knn_weights,
                                   opposite_direction_friends, preferential_attachment,
@@ -282,3 +282,99 @@ def test_bounds_properties(data):
     assert np.all(kn[half:] > 0) and np.all(kn[half:] <= 1.0)
     if directed:
         assert common_friends(g, v, u, "all") >= common_friends(g, v, u, "bi")
+
+
+# -- batch kernel against the pairwise reference, bit for bit ----------------------
+
+
+def _stacked(g, pairs):
+    return np.array([extract_edge_features(g, v, u).values for v, u in pairs])
+
+
+def _all_ordered_pairs(g):
+    n = g.vertex_count
+    return [(v, u) for v in range(n) for u in range(n) if v != u]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_feature_matrix_bitwise_on_random_graphs(directed):
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        pairs, _ = random_graph(rng, int(rng.integers(3, 12)), directed, p=0.4)
+        g = build_graph(pairs, directed)
+        query = _all_ordered_pairs(g)
+        assert extract_feature_matrix(g, query).tobytes() == _stacked(g, query).tobytes()
+
+
+def test_feature_matrix_bitwise_on_directed_host_with_reciprocal_edges():
+    rng = np.random.default_rng(4)
+    n = 300
+    src = rng.integers(0, n, 3000)
+    dst = (src + rng.geometric(0.05, 3000)) % n
+    back = rng.random(3000) < 0.3
+    edges = list(zip(src.tolist(), dst.tolist())) + list(zip(dst[back].tolist(), src[back].tolist()))
+    g = build_graph([(f"v{a}", f"v{b}") for a, b in edges], directed=True)
+    query = [(v, u) for v, u in rng.integers(0, g.vertex_count, (3000, 2)).tolist() if v != u]
+    query += [(int(a), int(b)) for a, b in g.edges[:1000]]
+    query += [(int(b), int(a)) for a, b in g.edges[:1000]]
+    X = extract_feature_matrix(g, query)
+    assert X[:, FEATURE_NAMES_DIRECTED.index("opposite_direction_friends")].any()
+    assert X[:, FEATURE_NAMES_DIRECTED.index("common_friends_bi")].any()
+    assert X.tobytes() == _stacked(g, query).tobytes()
+
+
+def _hub_host(directed):
+    """Hubs h0..h3 share 140, 60, 20, 9 and 8 leaves with h0, each leaf
+    with its own degree, so Adamic-Adar sums 8 to 140 distinct terms."""
+    rng = np.random.default_rng(8)
+    edges = []
+    for leaf in range(140):
+        edges.append(("h0", f"w{leaf}"))
+        edges += [(f"w{leaf}", f"x{leaf}_{k}") for k in range(int(rng.integers(0, 30)))]
+    for hub, shared in (("h1", 140), ("h2", 60), ("h3", 20), ("h4", 9), ("h5", 8)):
+        edges += [(hub, f"w{leaf}") for leaf in range(shared)]
+    if directed:  # leaves point back to some hubs, so in/out/bi sets differ
+        edges += [(f"w{leaf}", "h1") for leaf in range(0, 140, 3)]
+    return build_graph(edges, directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_feature_matrix_bitwise_with_many_shared_neighbors(directed):
+    g = _hub_host(directed)
+    hubs = [g.id_of(f"h{i}") for i in range(6)]
+    query = [(a, b) for a in hubs for b in hubs if a != b]
+    rng = np.random.default_rng(2)
+    query += [(v, u) for v, u in rng.integers(0, g.vertex_count, (500, 2)).tolist() if v != u]
+    X = extract_feature_matrix(g, query)
+    assert X.tobytes() == _stacked(g, query).tobytes()
+    names = FEATURE_NAMES_DIRECTED if directed else FEATURE_NAMES_UNDIRECTED
+    shared = X[:, names.index("common_friends_out" if directed else "common_friends")]
+    assert shared.max() >= 130 and ((shared >= 8) & (shared < 130)).sum() >= 8
+    if not directed:
+        # the trap: left-to-right addition of the same terms gives other bits
+        aa = FEATURE_NAMES_UNDIRECTED.index("adamic_adar")
+        sequential = [sum(1.0 / math.log(g.degree(int(w)))
+                          for w in np.intersect1d(g.neighbors(v), g.neighbors(u)))
+                      for v, u in query]
+        assert (X[:, aa] != np.array(sequential)).any()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_feature_matrix_empty_pair_list(directed):
+    g = build_graph([("a", "b"), ("b", "c")], directed)
+    d = len(FEATURE_NAMES_DIRECTED if directed else FEATURE_NAMES_UNDIRECTED)
+    assert extract_feature_matrix(g, []).shape == (0, d)
+    assert extract_feature_matrix(g, np.empty((0, 2), dtype=np.int64)).shape == (0, d)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("bad, error", [((1, 1), InvalidPairError),
+                                        ((0, 3), UnknownVertexError),
+                                        ((-1, 0), UnknownVertexError),
+                                        ((7, 7), UnknownVertexError)])
+def test_feature_matrix_rejects_bad_pairs_like_the_pairwise_path(directed, bad, error):
+    g = build_graph([("a", "b"), ("b", "c")], directed)
+    with pytest.raises(error):
+        extract_edge_features(g, *bad)
+    with pytest.raises(error):
+        extract_feature_matrix(g, [(0, 1), bad, (1, 2)])

@@ -153,3 +153,19 @@ def test_neighbors_read_only():
     g = build_graph([("a", "b")], directed=False)
     with pytest.raises(ValueError):
         g.neighbors(0)[0] = 5
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_gather_neighbors_concatenates_in_vertex_order(directed):
+    g = build_graph([("a", "b"), ("a", "c"), ("c", "b"), ("d", "a")], directed)
+    for mode in ("all", "in", "out", "bi"):
+        vs = [2, 0, 2, 3, 1]
+        counts, flat = g.gather_neighbors(vs, mode)
+        assert counts.tolist() == [g.degree(v, mode) for v in vs]
+        assert flat.tolist() == [int(u) for v in vs for u in g.neighbors(v, mode)]
+    counts, flat = g.gather_neighbors([], "all")
+    assert len(counts) == 0 and len(flat) == 0
+    with pytest.raises(UnknownVertexError):
+        g.gather_neighbors([0, 4], "all")
+    with pytest.raises(UnknownVertexError):
+        g.gather_neighbors([-1], "all")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,3 +175,72 @@ def test_cli_bad_config_value(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text("ba_n = 1000\nba_m = 3\nthreshold = 2.0\n")
     assert main(["-q", "evaluate", "--config", str(config)]) == 1
+
+
+# -- damaged forest files ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def score_inputs(tmp_path_factory):
+    """A host, its vertex list and a forest file whose first root is a split."""
+    d = tmp_path_factory.mktemp("score")
+    graph, model, vertices = d / "g.csv", d / "model.json", d / "vertices.txt"
+    assert main(["-q", "generate", "--n", "200", "--m", "3", "--seed", "1",
+                 "--out", str(graph)]) == 0
+    assert main(["-q", "train-link", "--graph", str(graph), "--size", "100", "--seed", "2",
+                 "--trees", "3", "--min-leaf", "5", "--model-out", str(model)]) == 0
+    vertices.write_text("\n".join(load_edge_list(graph, directed=False).names[:20]) + "\n")
+    doc = json.loads(model.read_text())
+    assert doc["trees"][0]["feature"][0] >= 0
+    return graph, vertices, doc
+
+
+def _leaf(tree):
+    return tree["feature"].index(-1)
+
+
+def _child_before_parent(tree):
+    node = next(i for i, f in enumerate(tree["feature"]) if i > 0 and f >= 0)
+    tree["left"][node] = node - 1
+
+
+def _one_node(tree):
+    tree.update(feature=[0], threshold=[0.5], left=[5], right=[5], count0=[1], count1=[1])
+
+
+DAMAGE = {
+    # an internal root pointing at itself made every descent loop forever
+    "child_cycles_to_itself": lambda doc, t: t["right"].__setitem__(0, 0),
+    # a child past the last node raised IndexError, an internal error
+    "child_out_of_range": lambda doc, t: _one_node(t),
+    "child_before_parent": lambda doc, t: _child_before_parent(t),
+    "unequal_array_lengths": lambda doc, t: t["count1"].pop(),
+    "feature_past_n_features": lambda doc, t: t["feature"].__setitem__(0, doc["n_features"]),
+    "feature_below_leaf_marker": lambda doc, t: t["feature"].__setitem__(0, -2),
+    "threshold_not_finite": lambda doc, t: t["threshold"].__setitem__(0, float("nan")),
+    "negative_count": lambda doc, t: t["count0"].__setitem__(_leaf(t), -1),
+    "empty_leaf": lambda doc, t: (t["count0"].__setitem__(_leaf(t), 0),
+                                  t["count1"].__setitem__(_leaf(t), 0)),
+    "feature_names_too_short": lambda doc, t: doc["feature_names"].pop(),
+    "node_array_not_numbers": lambda doc, t: t.__setitem__("threshold", ["x"] * len(t["feature"])),
+    "no_trees": lambda doc, t: doc.__setitem__("trees", []),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
+    import linkanomaly
+
+    graph, vertices, doc = score_inputs
+    doc = json.loads(json.dumps(doc))
+    DAMAGE[damage](doc, doc["trees"][0])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    src = str(Path(linkanomaly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "linkanomaly.cli", "-q", "score",
+                           "--graph", str(graph), "--model", str(model),
+                           "--vertices", str(vertices), "--out", str(tmp_path / "p.csv")],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert "data error" in done.stderr
