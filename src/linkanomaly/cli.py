@@ -15,7 +15,7 @@ import sys
 
 from . import io
 from .anomaly import META_FEATURE_NAMES, profile_vertices, rank_vertices
-from .config import load_config
+from .config import ExperimentConfig, load_config
 from .errors import LinkAnomalyError, ParameterError
 from .evaluation import injection_count, run_experiment
 from .features import feature_names
@@ -154,11 +154,14 @@ def build_parser() -> _Parser:
     p.add_argument("--record-out", help="optional injection audit CSV")
     p.set_defaults(func=_cmd_inject)
 
+    # the link forest an experiment trains, so a CLI model matches a report's
+    defaults = ExperimentConfig().forest_params()
+
     def forest_flags(p):
-        p.add_argument("--trees", type=int, default=100)
-        p.add_argument("--features-per-split", type=int, default=None)
-        p.add_argument("--min-leaf", type=int, default=1)
-        p.add_argument("--max-depth", type=int, default=None)
+        p.add_argument("--trees", type=int, default=defaults.tree_count)
+        p.add_argument("--features-per-split", type=int, default=defaults.features_per_split)
+        p.add_argument("--min-leaf", type=int, default=defaults.min_leaf_size)
+        p.add_argument("--max-depth", type=int, default=defaults.max_depth)
 
     p = sub.add_parser("train-link", help="train the link classifier")
     p.add_argument("--graph", required=True)

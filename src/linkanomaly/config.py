@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, named_decode_error
 from .forest import ForestParams
 
 ANOMALY_SOURCES = ("inject", "random", "provided")
@@ -144,7 +144,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse a config file, apply key=value overrides, and validate."""
     p = Path(path)
-    config = parse_config_text(p.read_text(), str(p))
+    with named_decode_error(p):
+        text = p.read_text(encoding="utf-8")
+    config = parse_config_text(text, str(p))
     for key, raw in (overrides or {}).items():
         apply_kv(config, key, raw, "<override>")
     config.validate()

@@ -4,6 +4,8 @@ Everything raised on purpose derives from :class:`LinkAnomalyError` so the
 CLI can translate failures into exit codes without enumerating modules.
 """
 
+from contextlib import contextmanager
+
 
 class LinkAnomalyError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,6 +13,15 @@ class LinkAnomalyError(Exception):
 
 class ParseError(LinkAnomalyError):
     """A file or record could not be parsed; message names the offending line."""
+
+
+@contextmanager
+def named_decode_error(path):
+    """Re-raise a UnicodeDecodeError from reading `path` as a ParseError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 class UnknownVertexError(LinkAnomalyError, KeyError):

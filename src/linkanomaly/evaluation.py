@@ -199,11 +199,13 @@ def k_fold_cv(profiles, labels: Sequence[int], folds: int, seed,
         entry = {"run": 0, "fold": f, "auc": auc(scores, y[test])}
         entry.update(confusion_metrics((scores >= 0.5).astype(int), y[test]))
         report.folds.append(entry)
-    report.averaged = {
-        name: sum(e[name] for e in report.folds) / len(report.folds)
-        for name in METRIC_NAMES
-    }
+    report.averaged = _fold_means(report.folds)
     return report
+
+
+def _fold_means(folds: list[dict]) -> dict:
+    """Each metric in METRIC_NAMES averaged over the fold entries."""
+    return {name: sum(e[name] for e in folds) / len(folds) for name in METRIC_NAMES}
 
 
 # -- end-to-end harness -------------------------------------------------------
@@ -335,10 +337,7 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
         "anomalous": config.test_positive_count,
         "normal": config.test_negative_count,
     }
-    report.averaged = {
-        name: sum(e[name] for e in report.folds) / len(report.folds)
-        for name in METRIC_NAMES
-    }
+    report.averaged = _fold_means(report.folds)
     report.precision_at_k = {k: v / pk_counts[k] for k, v in sorted(pk_sums.items())}
     report.info_gain = {name: v / runs for name, v in ig_sums.items()}
     if link_aucs:

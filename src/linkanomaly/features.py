@@ -205,39 +205,23 @@ def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
     return EdgeFeatureVector(FEATURE_NAMES_UNDIRECTED, values)
 
 
-def _csr_keys(g: Graph, mode: str) -> np.ndarray:
-    """row * n + col of every entry of one neighbor view, ascending."""
-    indptr, indices = g._csr(mode)
-    n = g.vertex_count
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
-
-
-def _in_sorted(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether each query value occurs in the ascending array `keys`."""
-    pos = np.searchsorted(keys, query)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == query[found]
-    return found
-
-
-def _shared(g: Graph, views: dict, mode_v: str, mode_u: str,
+def _shared(g: Graph, degrees: dict, mode_v: str, mode_u: str,
             v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pair index, w) for every w in Γ_mode_v(v[i]) ∩ Γ_mode_u(u[i]).
 
     Each pair gathers the smaller of its two neighbor slices (gathering both
-    would cost the hubs' degrees on hub-heavy pair sets) and looks the
-    other endpoint's (row, w) up in that view's sorted keys.  Within a pair
-    the w ascend.  `views` maps a mode to its (degrees, keys).
+    would cost the hubs' degrees on hub-heavy pair sets) and asks the graph
+    whether each w is adjacent to the other endpoint in the other view.
+    Within a pair the w ascend.  `degrees` maps a mode to its degree array.
     """
-    n = g.vertex_count
-    from_v = views[mode_v][0][v] <= views[mode_u][0][u]
+    from_v = degrees[mode_v][v] <= degrees[mode_u][u]
     pid, shared = [], []
-    for take, mode, rows, other, keys in ((from_v, mode_v, v, u, views[mode_u][1]),
-                                          (~from_v, mode_u, u, v, views[mode_v][1])):
+    for take, mode, rows, other, other_mode in ((from_v, mode_v, v, u, mode_u),
+                                                (~from_v, mode_u, u, v, mode_v)):
         idx = np.flatnonzero(take)
         counts, w = g.gather_neighbors(rows[idx], mode)
         p = np.repeat(idx, counts)
-        hit = _in_sorted(keys, other[p] * n + w)
+        hit = g.adjacent(other[p], w, other_mode)
         pid.append(p[hit])
         shared.append(w[hit])
     return np.concatenate(pid), np.concatenate(shared)
@@ -266,8 +250,8 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
     """(n_pairs, n_features) matrix; row i is extract_edge_features(pairs[i]).
 
     `pairs` is a sequence of (v, u) pairs or an (n, 2) id array.  All pairs
-    are computed together: each common-neighbor count is one batched lookup
-    of gathered neighbor ids in a view's sorted CSR keys (see `_shared`).
+    are computed together: each common-neighbor count is one batched
+    :meth:`Graph.adjacent` lookup of gathered neighbor ids (see `_shared`).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     v, u = pairs[:, 0], pairs[:, 1]
@@ -280,13 +264,13 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
         return np.empty((0, len(feature_names(g.directed))))
 
     modes = ("all", "in", "out", "bi") if g.directed else ("all",)
-    views = {mode: (g.degrees(mode), _csr_keys(g, mode)) for mode in modes}
+    degrees = {mode: g.degrees(mode) for mode in modes}
 
     def count(mode_v: str, mode_u: str) -> np.ndarray:
-        return np.bincount(_shared(g, views, mode_v, mode_u, v, u)[0], minlength=m)
+        return np.bincount(_shared(g, degrees, mode_v, mode_u, v, u)[0], minlength=m)
 
-    degs = views["all"][0]
-    pid, w = _shared(g, views, "all", "all", v, u)
+    degs = degrees["all"]
+    pid, w = _shared(g, degrees, "all", "all", v, u)
     inter = np.bincount(pid, minlength=m)
     union = degs[v] + degs[u] - inter
     jaccard = np.divide(inter, union, out=np.zeros(m), where=union > 0)
@@ -298,9 +282,9 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
                                 _adamic_adar_sums(degs, pid, w, inter),
                                 wv + wu, wv * wu])
 
-    opposite = _in_sorted(views["out"][1], u * n + v)
-    w_in = 1.0 / np.sqrt(1.0 + views["in"][0])
-    w_out = 1.0 / np.sqrt(1.0 + views["out"][0])
+    opposite = g.adjacent(u, v, "out")
+    w_in = 1.0 / np.sqrt(1.0 + degrees["in"])
+    w_out = 1.0 / np.sqrt(1.0 + degrees["out"])
     wiv, wov, wiu, wou = w_in[v], w_out[v], w_in[u], w_out[u]
     return np.column_stack([
         union, count("in", "in"), count("out", "out"), count("bi", "bi"),

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateTrainingError, ParameterError, ShapeError
+from .errors import DegenerateTrainingError, ParameterError, ShapeError, named_decode_error
 from .rng import generator, seed_key
 
 FOREST_FORMAT = "linkanomaly-forest"
@@ -229,7 +229,8 @@ class LinkForest:
     def load(cls, path) -> "LinkForest":
         """Read a forest file, checking every tree before any predict can use it."""
         try:
-            doc = json.loads(Path(path).read_text())
+            with named_decode_error(path):
+                doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ShapeError(f"{path}: not a forest file ({e})") from None
         if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:

@@ -1,15 +1,17 @@
-"""Immutable adjacency-structure graph with four directional neighbor views.
+"""Immutable graph with four directional neighbor views over sorted edge keys.
 
 Vertex names are interned to dense integer ids (sorted name order for the
 public constructor, so the same edge multiset yields an identical graph in
-any input order).  Neighbor sets are stored CSR-style as sorted int32
-arrays, one structure per directional mode, so a neighbor query is a
-constant-time slice and set operations downstream can merge-scan.
+any input order).  Each neighbor view (all, in, out, bi) is one ascending
+int64 array of edge keys `row * n + col`, from which its CSR row offsets
+and sorted int32 neighbor ids are derived.  A neighbor query is a
+constant-time slice, and a batch of membership queries is one
+`np.searchsorted` over the keys (:meth:`Graph.adjacent`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,16 +24,36 @@ ANOMALOUS = 1
 _MODES = ("all", "in", "out", "bi")
 
 
-def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n: int):
-    """Sorted CSR (indptr, indices) from parallel src/dst id arrays."""
-    order = np.lexsort((dst, src))
-    indices = dst[order].astype(np.int32, copy=False)
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
-    return indptr, indices
+class _View(NamedTuple):
+    """One neighbor view: ascending keys `row * n + col` and their CSR form."""
+
+    keys: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, keys: np.ndarray, n: int) -> "_View":
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        indices = (keys % n).astype(np.int32)
+        for a in (keys, indptr, indices):
+            a.setflags(write=False)
+        return cls(keys, indptr, indices)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, ascending."""
+    keys = np.sort(keys)
+    if len(keys):
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
+def _member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each query value occurs in the ascending array `keys`."""
+    pos = np.searchsorted(keys, query)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == query[found]
+    return found
 
 
 class Graph:
@@ -55,32 +77,23 @@ class Graph:
         self.dropped_duplicates = dropped_duplicates
 
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if len(edges) and (edges.min() < 0 or edges.max() >= n):
+            raise ParameterError(f"edge endpoints must be vertex ids in [0, {n})")
         # canonical order: sorted by (u, v); assumed already deduplicated
-        if len(edges):
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-        self._edges = edges
+        u, v = edges[:, 0], edges[:, 1]
+        out = np.sort(u * n + v)
+        self._edges = np.column_stack([out // n, out % n])
         self._edges.setflags(write=False)
 
-        u, v = edges[:, 0], edges[:, 1]
         if directed:
-            self._out = _csr_from_pairs(u, v, n)
-            self._in = _csr_from_pairs(v, u, n)
-            both_u = np.concatenate([u, v])
-            both_v = np.concatenate([v, u])
-            key = both_u * n + both_v
-            uniq = np.unique(key)
-            self._all = _csr_from_pairs(uniq // n, uniq % n, n)
-            # reciprocal pairs: (a,b) with (b,a) also present
-            fwd = u * n + v
-            rev = v * n + u
-            mutual = np.intersect1d(fwd, rev, assume_unique=True)
-            self._bi = _csr_from_pairs(mutual // n, mutual % n, n)
+            into = np.sort(v * n + u)
+            self._views = {"out": _View.of(out, n), "in": _View.of(into, n),
+                           "all": _View.of(_sorted_unique(np.concatenate([out, into])), n),
+                           # reciprocal pairs: (a, b) with (b, a) also present
+                           "bi": _View.of(out[_member(into, out)], n)}
         else:
-            both_u = np.concatenate([u, v])
-            both_v = np.concatenate([v, u])
-            adj = _csr_from_pairs(both_u, both_v, n)
-            self._out = self._in = self._all = self._bi = adj
+            both = _View.of(np.sort(np.concatenate([out, v * n + u])), n)
+            self._views = dict.fromkeys(_MODES, both)
 
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int8)
@@ -133,21 +146,25 @@ class Graph:
 
     # -- neighbor views -----------------------------------------------------
 
-    def _csr(self, mode: str):
-        if mode == "all":
-            return self._all
-        if mode == "in":
-            return self._in
-        if mode == "out":
-            return self._out
-        if mode == "bi":
-            return self._bi
-        raise ParameterError(f"unknown neighbor mode {mode!r}; expected one of {_MODES}")
+    def _view(self, mode: str) -> _View:
+        try:
+            return self._views[mode]
+        except KeyError:
+            raise ParameterError(
+                f"unknown neighbor mode {mode!r}; expected one of {_MODES}") from None
+
+    def _vertex_ids(self, vertices) -> np.ndarray:
+        """`vertices` as an int64 array, raising for the first id out of range."""
+        vs = np.asarray(vertices, dtype=np.int64)
+        bad = (vs < 0) | (vs >= len(self._names))
+        if bad.any():
+            self._check_vertex(int(vs[bad][0]))
+        return vs
 
     def neighbors(self, v: int, mode: str = "all") -> np.ndarray:
         """Sorted, read-only id array of the requested neighbor set."""
         self._check_vertex(v)
-        indptr, indices = self._csr(mode)
+        _, indptr, indices = self._view(mode)
         return indices[indptr[v]:indptr[v + 1]]
 
     def gather_neighbors(self, vertices, mode: str = "all") -> tuple[np.ndarray, np.ndarray]:
@@ -156,25 +173,28 @@ class Graph:
         counts[i] is the size of vertices[i]'s set, whose sorted ids follow
         those of vertices[i - 1] in the second array.
         """
-        vs = np.asarray(vertices, dtype=np.int64)
-        bad = (vs < 0) | (vs >= len(self._names))
-        if bad.any():
-            self._check_vertex(int(vs[bad][0]))
-        indptr, indices = self._csr(mode)
+        vs = self._vertex_ids(vertices)
+        _, indptr, indices = self._view(mode)
         start = indptr[vs]
         counts = indptr[vs + 1] - start
         ends = np.cumsum(counts)
         pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + counts, counts)
         return counts, indices[pos]
 
+    def adjacent(self, rows, cols, mode: str = "all") -> np.ndarray:
+        """Boolean array: whether cols[i] is in the `mode` neighbor set of rows[i].
+
+        Both id arrays are checked: an id past the last vertex would alias
+        a key of the next row.
+        """
+        rows, cols = self._vertex_ids(rows), self._vertex_ids(cols)
+        return _member(self._view(mode).keys, rows * len(self._names) + cols)
+
     def degree(self, v: int, mode: str = "all") -> int:
-        self._check_vertex(v)
-        indptr, _ = self._csr(mode)
-        return int(indptr[v + 1] - indptr[v])
+        return len(self.neighbors(v, mode))
 
     def degrees(self, mode: str = "all") -> np.ndarray:
-        indptr, _ = self._csr(mode)
-        return np.diff(indptr)
+        return np.diff(self._view(mode).indptr)
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff (u, v) is an edge ((u, v) in either order when undirected)."""
@@ -239,16 +259,11 @@ def _dedup_id_edges(ids: np.ndarray, n: int, directed: bool):
     loops = ids[:, 0] == ids[:, 1]
     n_loops = int(np.count_nonzero(loops))
     ids = ids[~loops]
-    if not directed and len(ids):
+    if not directed:
         ids = np.sort(ids, axis=1)
-    if len(ids):
-        key = ids[:, 0] * n + ids[:, 1]
-        uniq = np.unique(key)
-        n_dups = len(key) - len(uniq)
-        ids = np.column_stack([uniq // n, uniq % n])
-    else:
-        n_dups = 0
-    return ids, n_loops, n_dups
+    key = ids[:, 0] * n + ids[:, 1]
+    uniq = _sorted_unique(key)
+    return np.column_stack([uniq // n, uniq % n]), n_loops, len(key) - len(uniq)
 
 
 def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool,

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .anomaly import META_FEATURE_NAMES, VertexAnomalyProfile
-from .errors import ParseError
+from .errors import ParseError, named_decode_error
 from .graph import Graph, build_graph
 from .sampling import InjectionRecord, TestSet
 
@@ -24,7 +24,7 @@ _LABEL_TOKENS = {"0": 0, "1": 1, "normal": 0, "anomalous": 1}
 def load_edge_list(path, directed: bool) -> Graph:
     """Parse an edge-list file into a graph."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with named_decode_error(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -51,7 +51,7 @@ def write_edge_list(g: Graph, path, comment: str | None = None) -> None:
 def load_labels(path) -> dict[str, int]:
     """Parse a `vertex,label` CSV; vertices absent from it default to normal."""
     labels: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None or [h.strip().lower() for h in header] != ["vertex", "label"]:
@@ -79,7 +79,7 @@ def write_labels(path, labels: Mapping[str, int]) -> None:
 def load_vertex_list(path) -> list[str]:
     """One vertex name per line; `#` comments and blank lines skipped."""
     names = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with named_decode_error(path), open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
@@ -103,7 +103,7 @@ def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
     """Read profiles back; vertex ids become row indices (file order)."""
     expected = ["vertex", *META_FEATURE_NAMES]
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header != expected:
@@ -117,6 +117,10 @@ def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
                 values = [float(x) for x in row[1:]]
             except ValueError as e:
                 raise ParseError(f"{path}:{i + 2}: {e}") from None
+            for j in (2, 6):
+                if not values[j].is_integer():
+                    raise ParseError(f"{path}:{i + 2}: {META_FEATURE_NAMES[j]} must be a whole"
+                                     f" number, got {row[j + 1]!r}")
             entries.append((row[0], VertexAnomalyProfile(
                 vertex=i,
                 abnormality_probability=values[0],

@@ -3,6 +3,7 @@ import pytest
 
 from linkanomaly import build_graph
 from linkanomaly.errors import ParameterError, ParseError, UnknownVertexError
+from linkanomaly.graph import Graph
 
 
 def test_build_undirected_counts():
@@ -169,3 +170,73 @@ def test_gather_neighbors_concatenates_in_vertex_order(directed):
         g.gather_neighbors([0, 4], "all")
     with pytest.raises(UnknownVertexError):
         g.gather_neighbors([-1], "all")
+
+
+def _reference(n: int, edges: set, directed: bool) -> dict:
+    """Each view's neighbor sets, built from plain Python sets."""
+    out = [set() for _ in range(n)]
+    into = [set() for _ in range(n)]
+    for a, b in edges:
+        out[a].add(b)
+        into[b].add(a)
+    if not directed:
+        both = [o | i for o, i in zip(out, into)]
+        return dict.fromkeys(("all", "in", "out", "bi"), both)
+    return {"out": out, "in": into, "all": [o | i for o, i in zip(out, into)],
+            "bi": [o & i for o, i in zip(out, into)]}
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_views_match_set_reference_on_random_multigraphs(directed):
+    rng = np.random.default_rng(17 + directed)
+    for _ in range(60):
+        n = int(rng.integers(2, 12))
+        m = int(rng.integers(1, 3 * n))
+        pairs = [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(m)]
+        # repeat some edges and add some reciprocals, so every kind of input occurs
+        pairs += [pairs[int(i)] for i in rng.integers(0, m, m // 3)]
+        pairs += [(b, a) for a, b in pairs[: m // 2]]
+        names = [f"x{i:02d}" for i in range(n)]
+        g = build_graph([(names[a], names[b]) for a, b in pairs], directed)
+
+        ids = {name: g.id_of(name) for name in g.names}
+        loops = sum(a == b for a, b in pairs)
+        kept = [(ids[names[a]], ids[names[b]]) for a, b in pairs if a != b]
+        canon = set(kept) if directed else {(min(e), max(e)) for e in kept}
+        assert g.edges.tolist() == sorted(map(list, canon))
+        assert g.dropped_self_loops == loops
+        assert g.dropped_duplicates == len(kept) - len(canon)
+
+        # the same edges with two isolated vertices appended
+        iso = Graph(g.names + ["~iso0", "~iso1"], g.edges, directed)
+        for h in (g, iso):
+            k = h.vertex_count
+            ref = _reference(k, canon, directed)
+            rows, cols = np.divmod(np.arange(k * k), k)
+            for mode, sets in ref.items():
+                keys, indptr, indices = h._view(mode)
+                assert indptr.tolist() == np.cumsum([0] + [len(s) for s in sets]).tolist()
+                assert indices.tolist() == [c for s in sets for c in sorted(s)]
+                assert keys.tolist() == [r * k + c for r, s in enumerate(sets) for c in sorted(s)]
+                assert indices.dtype == np.int32
+                assert h.adjacent(rows, cols, mode).tolist() == [
+                    int(c) in set(h.neighbors(int(r), mode).tolist()) for r, c in zip(rows, cols)]
+
+
+def test_adjacent_rejects_ids_out_of_range():
+    g = build_graph([("a", "b"), ("b", "c")], directed=True)
+    assert g.adjacent([0, 1], [1, 0], "out").tolist() == [True, False]
+    assert g.adjacent([], [], "all").tolist() == []
+    # (0, 3) would be the key of (1, 0) without the check
+    for rows, cols in (([0], [3]), ([3], [0]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(UnknownVertexError):
+            g.adjacent(rows, cols, "all")
+    with pytest.raises(ParameterError):
+        g.adjacent([0], [1], "sideways")
+
+
+def test_edges_must_be_vertex_ids():
+    with pytest.raises(ParameterError):
+        Graph(["a", "b"], np.array([[0, 2]]), directed=True)
+    with pytest.raises(ParameterError):
+        Graph(["a", "b"], np.array([[-1, 1]]), directed=False)

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linkanomaly import generate_ba
+from linkanomaly.anomaly import META_FEATURE_NAMES
 from linkanomaly.cli import main
+from linkanomaly.config import ExperimentConfig
 from linkanomaly.errors import ParseError
 from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv,
                             write_edge_list, write_labels)
@@ -244,3 +247,73 @@ def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
                           env=env, capture_output=True, text=True, timeout=30)
     assert done.returncode == 2, done.stderr
     assert "data error" in done.stderr
+
+
+# -- undecodable and out-of-range input ---------------------------------------------
+
+
+NON_UTF8_INPUTS = {
+    # input kind: argv reading the bad file `b`, given a host graph `g`, its
+    # vertex list `v`, a forest file `f` and an output directory `o`
+    "edge_list_train_link": lambda b, g, v, f, o: [
+        "train-link", "--graph", b, "--size", "5", "--model-out", f"{o}/m.json"],
+    "edge_list_inject": lambda b, g, v, f, o: [
+        "inject", "--graph", b, "--out", f"{o}/g.csv", "--labels-out", f"{o}/l.csv"],
+    "vertex_list_exclude": lambda b, g, v, f, o: [
+        "train-link", "--graph", g, "--exclude", b, "--size", "5",
+        "--model-out", f"{o}/m.json"],
+    "vertex_list_vertices": lambda b, g, v, f, o: [
+        "score", "--graph", g, "--model", f, "--vertices", b, "--out", f"{o}/p.csv"],
+    "profiles_csv": lambda b, g, v, f, o: ["rank", "--profiles", b],
+    "config": lambda b, g, v, f, o: ["evaluate", "--config", b],
+    "forest_json": lambda b, g, v, f, o: [
+        "score", "--graph", g, "--model", b, "--vertices", v, "--out", f"{o}/p.csv"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_UTF8_INPUTS) + ["labels"])
+def test_cli_non_utf8_input_is_a_data_error(tmp_path, score_inputs, kind, capsys):
+    graph, vertices, doc = score_inputs
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    if kind == "labels":
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"graph_path = {graph}\nanomaly_source = provided\n"
+                          f"labels_path = {bad}\n")
+        argv = ["evaluate", "--config", str(config)]
+    else:
+        argv = NON_UTF8_INPUTS[kind](str(bad), str(graph), str(vertices), str(model),
+                                     str(tmp_path))
+    assert main(["-q", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{bad}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("column", ["sum_edge_label", "edge_count"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "2.5"])
+def test_profiles_whole_number_columns_reject_other_values(tmp_path, column, value, capsys):
+    path = tmp_path / "profiles.csv"
+
+    def write(**fields):
+        row = {**dict.fromkeys(META_FEATURE_NAMES, "0.5"),
+               "sum_edge_label": "3", "edge_count": "4.0", **fields}
+        path.write_text(f"vertex,{','.join(META_FEATURE_NAMES)}\n"
+                        f"v1,{','.join(row[name] for name in META_FEATURE_NAMES)}\n")
+
+    write()
+    assert load_profiles_csv(path)[0][1].edge_count == 4
+    write(**{column: value})
+    with pytest.raises(ParseError, match=f":2: {column} must be a whole number"):
+        load_profiles_csv(path)
+    assert main(["-q", "rank", "--profiles", str(path)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_cli_train_link_defaults_are_the_experiment_forest(tmp_path, score_inputs):
+    graph, _, _ = score_inputs
+    model = tmp_path / "model.json"
+    assert main(["-q", "train-link", "--graph", str(graph), "--size", "30", "--seed", "1",
+                 "--model-out", str(model)]) == 0
+    assert json.loads(model.read_text())["params"] == asdict(ExperimentConfig().forest_params())
