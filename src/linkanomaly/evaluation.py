@@ -225,7 +225,9 @@ def _stage(name: str):
 
 
 def injection_count(vertex_count: int, fraction: float) -> int:
-    """Vertices to inject so the final graph is `fraction` anomalous."""
+    """Vertices to inject so the final graph is `fraction` anomalous, 0 < fraction < 1."""
+    if not 0 < fraction < 1:
+        raise ParameterError(f"anomaly fraction must be in (0, 1), got {fraction}")
     return max(1, round(vertex_count * fraction / (1.0 - fraction)))
 
 

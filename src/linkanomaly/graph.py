@@ -274,7 +274,7 @@ def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool,
     the returned graph.  Ids are assigned in sorted name order, so the same
     edge multiset produces an identical graph regardless of input order.
     """
-    pairs = []
+    endpoints = []
     for i, pair in enumerate(edge_list):
         try:
             a, b = pair
@@ -282,14 +282,22 @@ def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool,
             raise ParseError(f"entry {i + 1}: expected a pair of vertex names, got {pair!r}") from None
         if not isinstance(a, str) or not isinstance(b, str) or not a or not b:
             raise ParseError(f"entry {i + 1}: expected two non-empty names, got {pair!r}")
-        pairs.append((a, b))
-    if not pairs:
+        endpoints += (a, b)
+    if not endpoints:
         raise ParameterError("edge list is empty")
+    return graph_from_endpoints(endpoints, directed, labels)
 
-    names = sorted({n for pair in pairs for n in pair})
-    index = {name: i for i, name in enumerate(names)}
-    ids = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64)
-    ids, n_loops, n_dups = _dedup_id_edges(ids, len(names), directed)
+
+def graph_from_endpoints(endpoints: Sequence[str], directed: bool,
+                         labels: Mapping[str, int] | None = None) -> Graph:
+    """:func:`build_graph` of the pairs (endpoints[0], endpoints[1]), (endpoints[2], ...).
+
+    The names are taken as valid: non-empty strings, an even number of them.
+    """
+    names = sorted(set(endpoints))
+    index = dict(zip(names, range(len(names))))
+    ids = np.fromiter(map(index.__getitem__, endpoints), dtype=np.int64, count=len(endpoints))
+    ids, n_loops, n_dups = _dedup_id_edges(ids.reshape(-1, 2), len(names), directed)
 
     label_arr = None
     if labels is not None:
@@ -299,4 +307,3 @@ def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool,
                 label_arr[index[name]] = label
     return Graph(names, ids, directed, labels=label_arr,
                  dropped_self_loops=n_loops, dropped_duplicates=n_dups)
-

@@ -10,32 +10,48 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .anomaly import META_FEATURE_NAMES, VertexAnomalyProfile
 from .errors import ParseError, named_decode_error
-from .graph import Graph, build_graph
+from .graph import Graph, graph_from_endpoints
 from .sampling import InjectionRecord, TestSet
 
 _LABEL_TOKENS = {"0": 0, "1": 1, "normal": 0, "anomalous": 1}
 
 
+# Matches at the start of each line that is not plainly one edge (two
+# fields once commas are blanked, the first not starting with "#"): blank,
+# comment and malformed lines are the only ones looked at one by one.
+_OTHER_LINE = re.compile(r"^(?![^\S\n]*[^\s#]\S*[^\S\n]+\S+[^\S\n]*$)", re.MULTILINE)
+
+
 def load_edge_list(path, directed: bool) -> Graph:
     """Parse an edge-list file into a graph."""
-    pairs = []
     with named_decode_error(path), open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.replace(",", " ").split()
-            if len(fields) != 2:
+        text = fh.read()
+    blanked = text.replace(",", " ")  # same offsets as `text`
+    pieces, pos = [], 0
+    for match in _OTHER_LINE.finditer(blanked):
+        start = match.start()
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        stripped = text[start:end].strip()
+        if stripped and stripped[0] != "#":
+            if len(blanked[start:end].split()) != 2:
+                lineno = text.count("\n", 0, start) + 1
+                line = text[start:end + 1]
                 raise ParseError(f"{path}:{lineno}: expected two vertex names, got {line!r}")
-            pairs.append((fields[0], fields[1]))
-    if not pairs:
+            continue  # an edge line starting ",#": its first name starts with "#"
+        pieces.append(blanked[pos:start])
+        pos = end
+    pieces.append(blanked[pos:])
+    endpoints = "".join(pieces).split()
+    if not endpoints:
         raise ParseError(f"{path}: no edges found")
-    return build_graph(pairs, directed)
+    return graph_from_endpoints(endpoints, directed)
 
 
 def write_edge_list(g: Graph, path, comment: str | None = None) -> None:

@@ -29,6 +29,9 @@ from .rng import generator
 # rejection loops give up after ATTEMPT_FACTOR * requested draws
 ATTEMPT_FACTOR = 100
 
+# vertices whose first m target draws `generate_ba` makes in one call
+_BA_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TestSet:
@@ -67,25 +70,41 @@ def generate_ba(n: int, m: int, seed) -> Graph:
         raise ParameterError(f"need n > m, got n={n}, m={m}")
     rng = generator(seed)
 
-    edges = [(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)]
-    # each vertex appears once per unit of degree; sampling an index from
-    # this list is sampling a vertex with probability proportional to degree
-    repeated = []
-    for u, v in edges:
-        repeated.append(u)
-        repeated.append(v)
-    for source in range(m + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(repeated[int(rng.integers(len(repeated)))])
-        for t in sorted(targets):
-            edges.append((t, source))
-            repeated.append(t)
-            repeated.append(source)
+    # every edge (u, v) in order, flattened: each vertex appears once per
+    # unit of degree, so sampling an index is sampling a vertex with
+    # probability proportional to degree
+    repeated = [w for i in range(m + 1) for j in range(i + 1, m + 1) for w in (i, j)]
+    source = m + 1
+    while source < n:
+        # Vertex s draws from the first m(m+1) + 2m(s-m-1) entries, so a
+        # block's first m draws per vertex come from one array-bound call,
+        # which consumes the stream exactly as the same scalar calls would.
+        block = range(source, min(source + _BA_BLOCK, n))
+        highs = np.repeat(m * (m + 1) + 2 * m * (np.arange(block.start, block.stop) - m - 1), m)
+        state = rng.bit_generator.state
+        draws = rng.integers(0, highs).tolist()
+        for i, s in enumerate(block):
+            targets = {repeated[d] for d in draws[i * m:(i + 1) * m]}
+            short = len(targets) < m
+            if short:
+                # a repeat: put the stream where the scalar draws through
+                # this vertex leave it, redraw from there, and end the block
+                rng.bit_generator.state = state
+                rng.integers(0, highs[:(i + 1) * m])
+                while len(targets) < m:
+                    targets.add(repeated[int(rng.integers(len(repeated)))])
+            for t in sorted(targets):
+                repeated.append(t)
+                repeated.append(s)
+            if short:
+                source = s + 1
+                break
+        else:
+            source = block.stop
 
     width = len(str(n - 1))
     names = [f"v{i:0{width}d}" for i in range(n)]
-    return Graph(names, np.array(edges, dtype=np.int64), directed=False)
+    return Graph(names, np.array(repeated, dtype=np.int64).reshape(-1, 2), directed=False)
 
 
 def _fresh_names(g: Graph, count: int, prefix: str = "fake") -> list[str]:
@@ -107,7 +126,8 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
     distribution (redrawing zeros: a zero-edge anomaly is invisible to any
     edge-aggregation score) and connects to that many distinct vertices
     sampled uniformly from the pre-injection vertex set.  Directed hosts
-    get outbound edges from the fake vertex.
+    get outbound edges from the fake vertex.  A host without edges (out-edges
+    when directed) raises :class:`ExhaustionError`: every draw would be zero.
     """
     if g.vertex_count == 0:
         raise ParameterError("cannot inject into an empty graph")
@@ -115,23 +135,22 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
         raise ParameterError(f"injection count must be >= 1, got {n}")
     if n > g.vertex_count:
         raise ParameterError(f"injection count {n} exceeds vertex count {g.vertex_count}")
-    rng = generator(seed)
-
     host_n = g.vertex_count
     host_degrees = g.degrees("out" if g.directed else "all")
-    new_edges = []
+    if not host_degrees.any():
+        raise ExhaustionError(
+            f"no host vertex has {'an outbound' if g.directed else 'an'} edge, so no "
+            f"nonzero edge count can be drawn for an injected vertex")
+    rng = generator(seed)
+
     edge_counts = []
-    target_lists = []
-    for i in range(n):
-        vid = host_n + i
+    target_arrays = []
+    for _ in range(n):
         k = 0
         while k == 0:
             k = int(host_degrees[int(rng.integers(host_n))])
-        targets = rng.choice(host_n, size=k, replace=False)
         edge_counts.append(k)
-        target_lists.append(tuple(int(t) for t in targets))
-        for t in targets:
-            new_edges.append((vid, int(t)))
+        target_arrays.append(rng.choice(host_n, size=k, replace=False))
 
     names = g.names + _fresh_names(g, n)
     labels = np.zeros(host_n + n, dtype=np.int8)
@@ -139,13 +158,15 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
         labels[:host_n] = g.labels
     labels[host_n:] = ANOMALOUS
 
-    edges = np.array(new_edges, dtype=np.int64)
-    if not g.directed:
-        edges = np.sort(edges, axis=1)
-    edges = np.concatenate([g.edges, edges])
+    sources = np.repeat(np.arange(host_n, host_n + n, dtype=np.int64), edge_counts)
+    targets = np.concatenate(target_arrays)
+    # targets are host ids, below every new id: (target, source) is the
+    # canonical (min, max) row of an undirected edge
+    pairs = (sources, targets) if g.directed else (targets, sources)
+    edges = np.concatenate([g.edges, np.column_stack(pairs)])
     out = Graph(names, edges, g.directed, labels=labels)
-    record = InjectionRecord(tuple(range(host_n, host_n + n)),
-                             tuple(edge_counts), tuple(target_lists))
+    record = InjectionRecord(tuple(range(host_n, host_n + n)), tuple(edge_counts),
+                             tuple(tuple(t.tolist()) for t in target_arrays))
     return out, record
 
 

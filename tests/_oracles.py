@@ -205,3 +205,92 @@ def ceiling_margin(a, per_class, runs=1):
     n = per_class
     var = (a * (1 - a) + (n - 1) * (q1 - a * a) + (n - 1) * (q2 - a * a)) / (n * n)
     return 3 * math.sqrt(var / runs)
+
+
+# -- host construction -------------------------------------------------------------
+#
+# The per-draw and per-line loops that `generate_ba`, `inject_anomalies` and
+# `load_edge_list` replaced.  Each takes a live Generator (or a path) and
+# returns plain Python values, so a test can compare the array-built
+# outputs, and the stream position a Generator is left at, against them.
+
+
+def ba_loop(n, m, rng):
+    """(names, sorted edge list) of a BA graph drawn one target at a time."""
+    edges = [(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)]
+    repeated = []
+    for u, v in edges:
+        repeated.append(u)
+        repeated.append(v)
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        for t in sorted(targets):
+            edges.append((t, source))
+            repeated.append(t)
+            repeated.append(source)
+    width = len(str(n - 1))
+    return [f"v{i:0{width}d}" for i in range(n)], sorted(edges)
+
+
+def inject_loop(g, n, rng):
+    """(names, sorted edge list, labels, edge_counts, targets) of an injection.
+
+    Reads the host `g` only through its names, edges, labels and degrees,
+    and wires each fake vertex one edge at a time.
+    """
+    host_n = g.vertex_count
+    host_degrees = g.degrees("out" if g.directed else "all")
+    new_edges, edge_counts, target_lists = [], [], []
+    for i in range(n):
+        vid = host_n + i
+        k = 0
+        while k == 0:
+            k = int(host_degrees[int(rng.integers(host_n))])
+        targets = rng.choice(host_n, size=k, replace=False)
+        edge_counts.append(k)
+        target_lists.append(tuple(int(t) for t in targets))
+        for t in targets:
+            e = (vid, int(t))
+            new_edges.append(e if g.directed else (min(e), max(e)))
+
+    taken = set(g.names)
+    fresh, i = [], 0
+    width = len(str(max(n - 1, 1)))
+    while len(fresh) < n:
+        cand = f"fake{i:0{width}d}"
+        if cand not in taken:
+            fresh.append(cand)
+        i += 1
+    host_labels = [0] * host_n if g.labels is None else [int(x) for x in g.labels]
+    edges = sorted({(int(a), int(b)) for a, b in g.edges} | set(new_edges))
+    return (g.names + fresh, edges, host_labels + [1] * n,
+            tuple(edge_counts), tuple(target_lists))
+
+
+def edge_list_loop(path, directed):
+    """(names, sorted edge list, self-loops dropped, duplicates dropped) of a file.
+
+    Reads line by line with universal newlines and interns names through a
+    dict; raises the loader's ParseError for the first malformed line.
+    """
+    from linkanomaly.errors import ParseError
+
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = stripped.replace(",", " ").split()
+            if len(fields) != 2:
+                raise ParseError(f"{path}:{lineno}: expected two vertex names, got {line!r}")
+            pairs.append((fields[0], fields[1]))
+    if not pairs:
+        raise ParseError(f"{path}: no edges found")
+    names = sorted({name for pair in pairs for name in pair})
+    index = {name: i for i, name in enumerate(names)}
+    kept = [(index[a], index[b]) for a, b in pairs if a != b]
+    edge_set = {e if directed else (min(e), max(e)) for e in kept}
+    return names, sorted(edge_set), len(pairs) - len(kept), len(kept) - len(edge_set)

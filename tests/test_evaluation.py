@@ -5,6 +5,7 @@ from linkanomaly import (ExperimentConfig, auc, confusion_metrics, info_gain,
                          k_fold_cv, precision_at_k, run_experiment)
 from linkanomaly.errors import (ParameterError, ShapeError, StratificationError,
                                 UndefinedMetricError)
+from linkanomaly.evaluation import injection_count
 
 from _oracles import auc_pair_counting
 
@@ -237,3 +238,17 @@ def test_run_experiment_null_band():
 def test_run_experiment_validates_config():
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig())  # no graph source
+
+
+# -- injection_count -----------------------------------------------------------------
+
+
+def test_injection_count_final_share():
+    assert injection_count(30000, 0.10) == 3333
+    assert injection_count(5, 0.01) == 1
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_injection_count_rejects_fraction_outside_open_unit_interval(fraction):
+    with pytest.raises(ParameterError, match=r"anomaly fraction must be in \(0, 1\)"):
+        injection_count(100, fraction)

@@ -16,6 +16,8 @@ from linkanomaly.errors import ParseError
 from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv,
                             write_edge_list, write_labels)
 
+from _oracles import edge_list_loop
+
 
 # -- edge lists ---------------------------------------------------------------
 
@@ -33,6 +35,52 @@ def test_load_edge_list_malformed_line(tmp_path):
     path.write_text("a\n")
     with pytest.raises(ParseError, match=":1"):
         load_edge_list(path, directed=False)
+
+
+EDGE_LIST_TEXTS = {
+    "crlf": "a,b\r\nb,c\r\nc,a\r\n",
+    "lone_cr": "a,b\rb,c\r",
+    "no_trailing_newline": "a,b\nb c",
+    "blank_lines": "\n\na,b\n\n \t \nb,c\n\n",
+    "indented_comments": "  # comment\n\t#x y\na,b\n # a,b\nb,c\n",
+    "comma_before_hash": ",#a b\n",
+    "self_loops_and_duplicates": "a,b\nb,a\na,b\na,a\nb,c\nc,b\n",
+    "only_self_loops": "a,a\nb,b\n",
+    "bom": "\ufeffa,b\nb,c\n",
+    "comma_and_space": "a, b\nb ,c\n",
+    "one_field": "a,b\nc\n",
+    "one_field_crlf": "a,b\r\nc\r\nd,e\r\n",
+    "one_field_last_line": "a,b\nc",
+    "three_fields": "a,b\n\nc d e\n",
+    "three_fields_commas": "a,b,c\n",
+    "only_commas": "a,b\n,,\n",
+    "form_feed_inside": "a\x0cb\nb,c\n",
+    "next_line_inside": "a\x85b,c\n",
+    "line_separator_inside": "a\u2028b\nb,c\n",
+    "file_separator_inside": "a\x1cb\nc\x1dd e\n",
+    "only_comments": "# nothing\n\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("case", sorted(EDGE_LIST_TEXTS))
+def test_load_edge_list_equals_line_loop(tmp_path, case, directed):
+    path = tmp_path / "g.txt"
+    path.write_bytes(EDGE_LIST_TEXTS[case].encode("utf-8"))
+    try:
+        expected = edge_list_loop(path, directed)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            load_edge_list(path, directed)
+        assert str(got.value) == str(e)
+        return
+    g = load_edge_list(path, directed)
+    names, edges, loops, dups = expected
+    assert g.names == names
+    assert g.edges.tobytes() == np.array(edges, dtype=np.int64).reshape(-1, 2).tobytes()
+    assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, dups)
+    assert g.directed == directed
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -230,21 +278,25 @@ DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", sorted(DAMAGE))
-def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
+def _cli_subprocess(*argv):
+    """The CLI run in a fresh interpreter, killed (failing the test) after 30 s."""
     import linkanomaly
 
+    src = str(Path(linkanomaly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "linkanomaly.cli", "-q", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
     graph, vertices, doc = score_inputs
     doc = json.loads(json.dumps(doc))
     DAMAGE[damage](doc, doc["trees"][0])
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
-    src = str(Path(linkanomaly.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "linkanomaly.cli", "-q", "score",
-                           "--graph", str(graph), "--model", str(model),
-                           "--vertices", str(vertices), "--out", str(tmp_path / "p.csv")],
-                          env=env, capture_output=True, text=True, timeout=30)
+    done = _cli_subprocess("score", "--graph", graph, "--model", model,
+                           "--vertices", vertices, "--out", tmp_path / "p.csv")
     assert done.returncode == 2, done.stderr
     assert "data error" in done.stderr
 
@@ -317,3 +369,37 @@ def test_cli_train_link_defaults_are_the_experiment_forest(tmp_path, score_input
     assert main(["-q", "train-link", "--graph", str(graph), "--size", "30", "--seed", "1",
                  "--model-out", str(model)]) == 0
     assert json.loads(model.read_text())["params"] == asdict(ExperimentConfig().forest_params())
+
+
+# -- hosts that cannot take an injection ----------------------------------------------
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_cli_inject_into_edgeless_host_is_a_data_error(tmp_path, directed):
+    graph = tmp_path / "loops.csv"
+    graph.write_text("a,a\nb,b\n")
+    done = _cli_subprocess("inject", "--graph", graph, *(["--directed"] if directed else []),
+                           "--out", tmp_path / "g.csv", "--labels-out", tmp_path / "l.csv")
+    assert done.returncode == 2, done.stderr
+    assert "data error" in done.stderr and "no host vertex has" in done.stderr
+
+
+def test_cli_evaluate_on_edgeless_host_is_a_data_error(tmp_path):
+    graph, config = tmp_path / "loops.csv", tmp_path / "exp.cfg"
+    graph.write_text("a,a\nb,b\n")
+    config.write_text(f"graph_path = {graph}\n")
+    done = _cli_subprocess("evaluate", "--config", config,
+                           "--report-out", tmp_path / "r.json", "--pk-out", tmp_path / "pk.csv")
+    assert done.returncode == 2, done.stderr
+    assert "prepare-graph" in done.stderr and "no host vertex has" in done.stderr
+
+
+@pytest.mark.parametrize("fraction", ["1.0", "nan", "-0.5", "0", "1.5", "inf"])
+def test_cli_inject_fraction_outside_open_unit_interval_is_a_usage_error(tmp_path, fraction):
+    graph = tmp_path / "g.csv"
+    graph.write_text("a,b\nb,c\nc,d\n")
+    done = _cli_subprocess("inject", "--graph", graph, "--fraction", fraction,
+                           "--out", tmp_path / "out.csv", "--labels-out", tmp_path / "l.csv")
+    assert done.returncode == 1, done.stderr
+    assert "usage error" in done.stderr and "anomaly fraction must be in (0, 1)" in done.stderr
+    assert not (tmp_path / "out.csv").exists()

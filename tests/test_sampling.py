@@ -1,9 +1,16 @@
+import faulthandler
+
 import numpy as np
 import pytest
 
-from linkanomaly import (ANOMALOUS, NORMAL, build_graph, build_link_training_set,
-                         generate_ba, inject_anomalies, sample_test_vertices)
+from linkanomaly import (ANOMALOUS, NORMAL, InjectionRecord, build_graph,
+                         build_link_training_set, generate_ba, inject_anomalies,
+                         sample_test_vertices)
 from linkanomaly.errors import ExhaustionError, ParameterError
+from linkanomaly.graph import Graph
+from linkanomaly.rng import generator
+
+from _oracles import ba_loop, inject_loop
 
 
 def complete_graph(n):
@@ -45,6 +52,42 @@ def test_ba_power_law_tail():
     keep = counts >= 10
     slope = np.polyfit(np.log10(values[keep]), np.log10(counts[keep]), 1)[0]
     assert -3.5 <= slope <= -2.5
+
+
+def test_integers_with_array_bounds_draws_as_scalar_calls():
+    # generate_ba draws a block of targets with one integers(0, highs) call
+    # and replays a prefix of it; both rest on this numpy property
+    for seed in range(4):
+        highs = np.random.default_rng(seed + 100).integers(1, 2**20, size=1000)
+        highs[::9] = np.random.default_rng(seed).integers(2**32, 2**40, size=len(highs[::9]))
+        highs[::13] = 1
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:  # a generator holding half of a 64-bit draw in its buffer
+            batched.random(dtype=np.float32)
+            scalar.random(dtype=np.float32)
+        assert np.array_equal(batched.integers(0, highs), [scalar.integers(h) for h in highs])
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (2, 1, 0), (60, 1, 1),            # m = 1: one draw never repeats
+    (4, 3, 2), (9, 8, 3),             # n = m + 1: no vertex arrives
+    (12, 10, 4), (30, 25, 5), (600, 30, 6),  # m near n: replays in most blocks
+    (3000, 4, 7), (3000, 4, 8), (3000, 4, 9), (3000, 4, 10),
+])
+def test_ba_equals_scalar_draw_loop(n, m, seed):
+    for fresh in (True, False):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if not fresh:  # a live generator part-way through its stream
+            ours.random(3, dtype=np.float32)
+            theirs.random(3, dtype=np.float32)
+        g = generate_ba(n, m, ours)
+        names, edges = ba_loop(n, m, theirs)
+        assert g.edges.tobytes() == np.array(edges, dtype=np.int64).tobytes()
+        assert g.names == names
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    assert generate_ba(n, m, (seed, 0)).edges.tobytes() == \
+        np.array(ba_loop(n, m, generator((seed, 0)))[1], dtype=np.int64).tobytes()
 
 
 def test_ba_bad_params():
@@ -109,6 +152,50 @@ def test_inject_degree_fidelity_10k():
         _, record = inject_anomalies(g, 1000, seed=seed)
         means.append(np.mean(record.edge_counts))
     assert abs(np.mean(means) - host_mean) / host_mean <= 0.10
+
+
+def _hosts_with_isolated_vertices():
+    ba = generate_ba(300, 3, seed=1)
+    labels = np.zeros(ba.vertex_count + 2, dtype=np.int8)
+    labels[::7] = ANOMALOUS
+    yield Graph(ba.names + ["iso0", "iso1"], ba.edges, directed=False, labels=labels)
+    rng = np.random.default_rng(2)
+    pairs = {(f"d{a:03d}", f"d{b:03d}") for a, b in rng.integers(0, 150, (400, 2)) if a != b}
+    directed = build_graph(sorted(pairs), directed=True)
+    # sinks (no out-edges) and isolated vertices draw zero edge counts
+    yield Graph(directed.names + ["iso0", "iso1", "iso2"], directed.edges, directed=True)
+
+
+@pytest.mark.parametrize("host", list(_hosts_with_isolated_vertices()),
+                         ids=["undirected", "directed"])
+def test_inject_equals_per_edge_loop(host):
+    for n, seed in [(1, 0), (25, 1), (host.vertex_count, 2)]:
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        out, record = inject_anomalies(host, n, ours)
+        names, edges, labels, edge_counts, targets = inject_loop(host, n, theirs)
+        assert out.names == names
+        assert out.edges.tobytes() == np.array(edges, dtype=np.int64).tobytes()
+        assert out.labels.tolist() == labels
+        assert out.directed == host.directed
+        assert record == InjectionRecord(tuple(range(host.vertex_count, host.vertex_count + n)),
+                                         edge_counts, targets)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_inject_into_edgeless_host_raises_before_drawing(directed):
+    g = build_graph([("a", "a"), ("b", "b")], directed=directed)
+    assert g.vertex_count == 2 and g.edge_count == 0
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    # a regression redraws zero edge counts forever: end the run loudly instead
+    faulthandler.dump_traceback_later(30, exit=True)
+    try:
+        with pytest.raises(ExhaustionError, match="no host vertex has"):
+            inject_anomalies(g, 1, rng)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert rng.bit_generator.state == state
 
 
 def test_inject_parameter_errors():
