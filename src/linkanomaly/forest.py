@@ -7,7 +7,10 @@ should not exist".  Training is reproducible by construction:
 * examples are canonically sorted before any sampling, so the forest is
   independent of input order;
 * every random draw comes from a generator keyed on (seed, tree index),
-  so serial and parallel tree construction would draw identically;
+  so the trees do not depend on which process grows them: a fit grows
+  them in parallel on every CPU in the process's affinity set (the caller
+  and one forked worker per further CPU), and `taskset -c 0` makes it
+  serial;
 * split ties are broken by lowest feature index, then lowest threshold.
 
 Splits use Gini impurity with midpoint thresholds between sorted distinct
@@ -19,6 +22,8 @@ no impurity-reducing split, and gives up (leaf) only when no feature does.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +38,10 @@ FOREST_VERSION = 1
 
 # gains below this are treated as no improvement (guards float noise)
 _MIN_GAIN = 1e-12
+
+# rows x trees below which a fit grows its trees in one process: forking
+# and piping the trees back cost a few ms, as much as such a fit saves
+_MIN_PARALLEL_WORK = 5_000
 
 
 @dataclass(frozen=True)
@@ -91,39 +100,45 @@ class _Tree:
         return c1 / (c0 + c1)
 
 
-def _best_split_on_feature(x: np.ndarray, y: np.ndarray, min_leaf: int,
-                           parent_score: float):
-    """(weighted child gini, threshold) for the best cut of x, or None."""
-    n = len(x)
-    order = np.argsort(x)
-    xs = x[order]
-    cuts = np.flatnonzero(xs[:-1] < xs[1:])  # cut after position i
-    if min_leaf > 1:
-        cuts = cuts[(cuts + 1 >= min_leaf) & (n - cuts - 1 >= min_leaf)]
+def _best_split_on_feature(column: np.ndarray, idx: np.ndarray, pos: np.ndarray, n1: int,
+                           min_leaf: int, parent_score: float):
+    """(weighted child gini, threshold, left positives) of the best cut, or None.
+
+    The cut is of `column[idx]`; `pos` lists the `n1` positive rows of `idx`.
+    """
+    xs = column.take(idx)
+    xs.sort()
+    n = len(xs)
+    # cut after position i, leaving at least min_leaf rows on each side
+    lo, hi = min_leaf - 1, n - min_leaf
+    cuts = (xs[lo:hi] < xs[lo + 1:hi + 1]).nonzero()[0] + lo
     if len(cuts) == 0:
         return None
-    left1 = np.cumsum(y[order])[cuts].astype(np.float64)
-    left_n = (cuts + 1).astype(np.float64)
+    # positives at or below each cut's value: a cut never splits tied values
+    xp = column.take(pos)
+    xp.sort()
+    left1 = xp.searchsorted(xs[cuts], "right").astype(np.float64)
+    left_n = cuts + 1.0
     left0 = left_n - left1
-    total1 = float(y.sum())
-    right1 = total1 - left1
+    right1 = n1 - left1
     right_n = n - left_n
     right0 = right_n - right1
     score = (left_n - (left0 * left0 + left1 * left1) / left_n
              + right_n - (right0 * right0 + right1 * right1) / right_n) / n
-    best = int(np.argmin(score))  # first minimum -> lowest threshold on ties
+    best = int(score.argmin())  # first minimum -> lowest threshold on ties
     if score[best] >= parent_score - _MIN_GAIN:
         return None
     i = cuts[best]
     thr = (xs[i] + xs[i + 1]) / 2.0
     if thr >= xs[i + 1]:  # midpoint rounded up to the right value
         thr = xs[i]
-    return float(score[best]), float(thr)
+    return float(score[best]), float(thr), int(left1[best])
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
+def _grow_tree(XT: np.ndarray, y: np.ndarray, params: ForestParams,
                mtry: int, rng: np.random.Generator) -> _Tree:
-    n = len(X)
+    """One tree on `XT`, the (features, rows) transpose of X, and boolean labels `y`."""
+    d, n = XT.shape
     boot = rng.integers(0, n, n)
     feature, threshold = [], []
     left, right = [], []
@@ -138,11 +153,10 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
         count1.append(0)
         return len(feature) - 1
 
-    stack = [(new_node(), boot, 0)]
+    # a node's positive count comes from its parent's chosen cut
+    stack = [(new_node(), boot, int(y[boot].sum()), 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        yn = y[idx]
-        n1 = int(yn.sum())
+        node, idx, n1, depth = stack.pop()
         n0 = len(idx) - n1
         count0[node], count1[node] = n0, n1
         if (n0 == 0 or n1 == 0 or len(idx) < 2 * params.min_leaf_size
@@ -150,27 +164,27 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
             continue
         parent_score = 1.0 - (n0 * n0 + n1 * n1) / (len(idx) * len(idx))
 
+        pos = idx[y[idx]]
         best = None  # (score, feature, threshold)
-        perm = rng.permutation(X.shape[1])
-        for rank, f in enumerate(perm):
-            found = _best_split_on_feature(X[idx, f], yn, params.min_leaf_size,
+        for rank, f in enumerate(rng.permutation(d)):
+            found = _best_split_on_feature(XT[f], idx, pos, n1, params.min_leaf_size,
                                            parent_score)
             if found is not None:
                 cand = (found[0], int(f), found[1])
                 if best is None or cand < best:
-                    best = cand
+                    best, left1 = cand, found[2]
             if rank + 1 >= mtry and best is not None:
                 break
         if best is None:
             continue
         _, f, thr = best
-        go_left = X[idx, f] <= thr
+        go_left = XT[f].take(idx) <= thr
         feature[node] = f
         threshold[node] = thr
         left[node] = lid = new_node()
         right[node] = rid = new_node()
-        stack.append((rid, idx[~go_left], depth + 1))
-        stack.append((lid, idx[go_left], depth + 1))
+        stack.append((rid, idx[~go_left], n1 - left1, depth + 1))
+        stack.append((lid, idx[go_left], left1, depth + 1))
 
     return _Tree(np.array(feature, dtype=np.int32), np.array(threshold),
                  np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
@@ -284,7 +298,7 @@ def _load_tree(doc, n_features: int, where: str) -> _Tree:
 def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParams,
                  seed, *, X: np.ndarray | None = None, y: np.ndarray | None = None,
                  feature_names: Sequence[str] | None = None) -> LinkForest:
-    """Fit a forest on TrainingExamples (or a prebuilt X, y matrix pair)."""
+    """Fit a forest on TrainingExamples (or a prebuilt X, y pair) labeled 0 or 1."""
     params.validate()
     if examples is not None:
         lengths = {len(np.atleast_1d(ex.features)) for ex in examples}
@@ -307,16 +321,82 @@ def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParam
     classes = np.unique(y)
     if len(classes) < 2:
         raise DegenerateTrainingError(f"training set contains a single class ({classes[0]})")
+    if classes.tolist() != [0, 1]:
+        raise ParameterError(f"labels must be 0 or 1, got {classes.tolist()}")
 
     # canonical order: by feature tuple, then label
     order = np.lexsort((y,) + tuple(X.T[::-1]))
-    X, y = np.ascontiguousarray(X[order]), y[order]
+    XT, y = X.T.take(order, axis=1), y[order].astype(bool)
 
     d = X.shape[1]
     mtry = params.features_per_split or int(np.ceil(np.sqrt(d)))
     mtry = min(mtry, d)
-    key = seed_key(seed)
-    trees = [_grow_tree(X, y, params, mtry, generator(key, t))
-             for t in range(params.tree_count)]
+    trees = _grow_trees(XT, y, params, mtry, seed_key(seed))
     return LinkForest(trees, params, seed, d, feature_names)
+
+
+def _worker_count(tree_count: int, rows: int) -> int:
+    """Processes to grow a fit's trees on: 1 where forking cannot pay."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or rows * tree_count < _MIN_PARALLEL_WORK):
+        return 1
+    return min(len(os.sched_getaffinity(0)), tree_count)
+
+
+def _grow_trees(XT: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int,
+                key: tuple[int, ...]) -> list[_Tree]:
+    """The fit's trees in tree order, grown by forked workers sharing XT and y.
+
+    Worker i grows trees i, i + w, i + 2w, ... and pipes them back pickled;
+    the parent grows chunk 0.  Each tree draws only from its own (key, tree)
+    stream, so the trees do not depend on the worker count.  A chunk whose
+    worker fails is regrown in the parent, where a real error then raises.
+    """
+    workers = _worker_count(params.tree_count, len(y))
+
+    def grow(chunk: int) -> list[_Tree]:
+        return [_grow_tree(XT, y, params, mtry, generator(key, t))
+                for t in range(chunk, params.tree_count, workers)]
+
+    chunks = {}
+    pipes = {}  # pid -> (chunk, read end of its pipe)
+    try:
+        for chunk in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: the parent grows the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        pickle.dump(grow(chunk), out, protocol=pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            pipes[pid] = (chunk, open(r, "rb"))
+        chunks[0] = grow(0)
+        for pid, (chunk, pipe) in list(pipes.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del pipes[pid]
+            if os.waitstatus_to_exitcode(status) == 0:
+                chunks[chunk] = pickle.loads(data)
+    finally:
+        if pipes:  # left only when unwinding
+            import signal  # here, not at import: about 1 ms of every start
+        for pid, (_, pipe) in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    trees = [None] * params.tree_count
+    for chunk in range(workers):
+        trees[chunk::workers] = chunks[chunk] if chunk in chunks else grow(chunk)
+    return trees
 

@@ -247,27 +247,42 @@ def sample_training_pairs(g: Graph, excluded, size_per_class: int, seed
             f"only {len(eligible)} existing edges avoid the {len(excluded)} "
             f"excluded vertices; need {size_per_class}")
     picked = eligible[rng.choice(len(eligible), size=size_per_class, replace=False)]
-    negative_pairs = [(int(a), int(b)) for a, b in g.edges[picked]]
+    negative_pairs = list(map(tuple, g.edges[picked].tolist()))
 
+    # Attempt i is the stream's draws 2i (v) and 2i + 1 (u).  Every test
+    # below is a function of the canonical pair, so a pair is kept iff it
+    # passes them and is its first passing occurrence in the stream.
+    n = g.vertex_count
     budget = ATTEMPT_FACTOR * size_per_class
-    positive_pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    kept = np.empty(0, dtype=np.int64)  # keys v * n + u, in stream order
     attempts = 0
-    while len(positive_pairs) < size_per_class:
+    while len(kept) < size_per_class:
         if attempts >= budget:
             raise ExhaustionError(
-                f"found {len(positive_pairs)}/{size_per_class} non-existing pairs "
+                f"found {len(kept)}/{size_per_class} non-existing pairs "
                 f"after the {budget}-attempt budget (100 x requested)")
-        attempts += 1
-        v = int(rng.integers(g.vertex_count))
-        u = int(rng.integers(g.vertex_count))
-        if v == u or v in excluded or u in excluded:
-            continue
-        pair = (v, u) if g.directed else (min(v, u), max(v, u))
-        if pair in seen or g.has_edge(v, u):
-            continue
-        seen.add(pair)
-        positive_pairs.append(pair)
+        block = min(budget - attempts, 2 * (size_per_class - len(kept)) + 64)
+        state = rng.bit_generator.state
+        v, u = rng.integers(0, n, size=2 * block).reshape(-1, 2).T
+        ok = v != u
+        if excluded:
+            ok &= ~(np.isin(v, ex) | np.isin(u, ex))
+        if not g.directed:
+            v, u = np.minimum(v, u), np.maximum(v, u)
+        ok[ok] = ~g.adjacent(v[ok], u[ok], "out" if g.directed else "all")
+        keys = v * n + u
+        ok[ok] = ~np.isin(keys[ok], kept)
+        first = np.zeros(block, dtype=bool)
+        first[np.flatnonzero(ok)[np.unique(keys[ok], return_index=True)[1]]] = True
+        taken = np.flatnonzero(first)[:size_per_class - len(kept)]
+        kept = np.concatenate([kept, keys[taken]])
+        if len(kept) < size_per_class:
+            attempts += block
+        elif taken[-1] + 1 < block:
+            # leave a caller's Generator where the pair-at-a-time draws would
+            rng.bit_generator.state = state
+            rng.integers(0, n, size=2 * (taken[-1] + 1))
+    positive_pairs = list(zip((kept // n).tolist(), (kept % n).tolist()))
 
     return negative_pairs, positive_pairs
 

@@ -207,10 +207,10 @@ def ceiling_margin(a, per_class, runs=1):
     return 3 * math.sqrt(var / runs)
 
 
-# -- host construction -------------------------------------------------------------
+# -- host construction and pair sampling ----------------------------------------------
 #
-# The per-draw and per-line loops that `generate_ba`, `inject_anomalies` and
-# `load_edge_list` replaced.  Each takes a live Generator (or a path) and
+# The per-draw and per-line loops that `generate_ba`, `inject_anomalies`,
+# `load_edge_list` and `sample_training_pairs` replaced.  Each takes a live Generator (or a path) and
 # returns plain Python values, so a test can compare the array-built
 # outputs, and the stream position a Generator is left at, against them.
 
@@ -294,3 +294,125 @@ def edge_list_loop(path, directed):
     kept = [(index[a], index[b]) for a, b in pairs if a != b]
     edge_set = {e if directed else (min(e), max(e)) for e in kept}
     return names, sorted(edge_set), len(pairs) - len(kept), len(kept) - len(edge_set)
+
+
+def training_pairs_loop(g, excluded, size_per_class, rng):
+    """(existing edges, non-existing pairs), the non-edges drawn one pair at a time.
+
+    Raises the sampler's ExhaustionError, with its message, when either
+    side cannot be filled.
+    """
+    import numpy as np
+
+    from linkanomaly.errors import ExhaustionError
+
+    excluded = frozenset(excluded)
+    eligible = [i for i, (a, b) in enumerate(g.edges.tolist())
+                if a not in excluded and b not in excluded]
+    if len(eligible) < size_per_class:
+        raise ExhaustionError(
+            f"only {len(eligible)} existing edges avoid the {len(excluded)} "
+            f"excluded vertices; need {size_per_class}")
+    picked = np.array(eligible, dtype=np.int64)[
+        rng.choice(len(eligible), size=size_per_class, replace=False)]
+    negative_pairs = [(int(a), int(b)) for a, b in g.edges[picked]]
+
+    budget = 100 * size_per_class
+    positive_pairs = []
+    seen = set()
+    attempts = 0
+    while len(positive_pairs) < size_per_class:
+        if attempts >= budget:
+            raise ExhaustionError(
+                f"found {len(positive_pairs)}/{size_per_class} non-existing pairs "
+                f"after the {budget}-attempt budget (100 x requested)")
+        attempts += 1
+        v = int(rng.integers(g.vertex_count))
+        u = int(rng.integers(g.vertex_count))
+        if v == u or v in excluded or u in excluded:
+            continue
+        pair = (v, u) if g.directed else (min(v, u), max(v, u))
+        if pair in seen or g.has_edge(v, u):
+            continue
+        seen.add(pair)
+        positive_pairs.append(pair)
+    return negative_pairs, positive_pairs
+
+
+# -- forest growing ----------------------------------------------------------------
+#
+# The per-node engine `forest._grow_tree` replaced: every drawn feature's
+# rows gathered from row-major X, argsorted, and their labels cumulated.
+
+
+def _split_reference(x, y, min_leaf, parent_score):
+    import numpy as np
+
+    n = len(x)
+    order = np.argsort(x)
+    xs = x[order]
+    cuts = np.flatnonzero(xs[:-1] < xs[1:])
+    if min_leaf > 1:
+        cuts = cuts[(cuts + 1 >= min_leaf) & (n - cuts - 1 >= min_leaf)]
+    if len(cuts) == 0:
+        return None
+    left1 = np.cumsum(y[order])[cuts].astype(np.float64)
+    left_n = (cuts + 1).astype(np.float64)
+    left0 = left_n - left1
+    right1 = float(y.sum()) - left1
+    right_n = n - left_n
+    right0 = right_n - right1
+    score = (left_n - (left0 * left0 + left1 * left1) / left_n
+             + right_n - (right0 * right0 + right1 * right1) / right_n) / n
+    best = int(np.argmin(score))
+    if score[best] >= parent_score - 1e-12:
+        return None
+    i = cuts[best]
+    thr = (xs[i] + xs[i + 1]) / 2.0
+    if thr >= xs[i + 1]:
+        thr = xs[i]
+    return float(score[best]), float(thr)
+
+
+def grow_tree_reference(X, y, params, mtry, rng):
+    """(feature, threshold, left, right, count0, count1) lists of one tree.
+
+    X is the canonically sorted row-major matrix and y its 0/1 labels.
+    """
+    n = len(X)
+    boot = rng.integers(0, n, n)
+    nodes = []  # [feature, threshold, left, right, count0, count1]
+
+    def new_node():
+        nodes.append([-1, 0.0, -1, -1, 0, 0])
+        return len(nodes) - 1
+
+    stack = [(new_node(), boot, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        yn = y[idx]
+        n1 = int(yn.sum())
+        n0 = len(idx) - n1
+        nodes[node][4:] = [n0, n1]
+        if (n0 == 0 or n1 == 0 or len(idx) < 2 * params.min_leaf_size
+                or (params.max_depth is not None and depth >= params.max_depth)):
+            continue
+        parent_score = 1.0 - (n0 * n0 + n1 * n1) / (len(idx) * len(idx))
+        best = None
+        for rank, f in enumerate(rng.permutation(X.shape[1])):
+            found = _split_reference(X[idx, f], yn, params.min_leaf_size, parent_score)
+            if found is not None:
+                cand = (found[0], int(f), found[1])
+                if best is None or cand < best:
+                    best = cand
+            if rank + 1 >= mtry and best is not None:
+                break
+        if best is None:
+            continue
+        _, f, thr = best
+        go_left = X[idx, f] <= thr
+        lid, rid = new_node(), new_node()
+        nodes[node][:4] = [f, thr, lid, rid]
+        stack.append((rid, idx[~go_left], depth + 1))
+        stack.append((lid, idx[go_left], depth + 1))
+    return tuple(list(column) for column in zip(*nodes))

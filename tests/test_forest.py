@@ -1,8 +1,14 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from linkanomaly import ForestParams, LinkForest, TrainingExample, train_forest
+from linkanomaly import ForestParams, LinkForest, TrainingExample, forest, train_forest
 from linkanomaly.errors import DegenerateTrainingError, ParameterError, ShapeError
+from linkanomaly.rng import generator
+
+from _oracles import grow_tree_reference
 
 
 def _examples(X, y):
@@ -157,3 +163,137 @@ def test_bad_params_rejected():
         ForestParams(tree_count=0).validate()
     with pytest.raises(ParameterError):
         ForestParams(min_leaf_size=0).validate()
+
+
+# -- trees grown by forked workers ---------------------------------------------
+
+
+def _parallel_data():
+    rng = np.random.default_rng(12)
+    X = np.round(rng.normal(size=(400, 5)), 1)  # rounded: tied values at every node
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=400) > 0).astype(int)
+    return X, y
+
+
+def _serial_grow_trees(XT, y, params, mtry, key):
+    return [forest._grow_tree(XT, y, params, mtry, generator(key, t))
+            for t in range(params.tree_count)]
+
+
+def _fit(monkeypatch, tmp_path, params, workers):
+    """(trees, saved bytes): serial loop when workers is None, else forked."""
+    if workers is None:
+        monkeypatch.setattr(forest, "_grow_trees", _serial_grow_trees)
+    else:
+        monkeypatch.setattr(forest, "_worker_count", lambda trees, rows: min(workers, trees))
+    X, y = _parallel_data()
+    f = train_forest(None, params, seed=(5, 6), X=X, y=y)
+    monkeypatch.undo()
+    path = tmp_path / f"forest-{workers}.json"
+    f.save(path)
+    return f.trees, path.read_bytes()
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("tree_count", [1, 2, 3, 7, 30])
+@pytest.mark.parametrize("variant", [{}, {"max_depth": 3}, {"features_per_split": 1},
+                                     {"min_leaf_size": 7, "features_per_split": 5}],
+                         ids=["default", "max_depth", "features_per_split", "min_leaf_size"])
+def test_forked_workers_grow_the_serial_forest(monkeypatch, tmp_path, tree_count, variant):
+    params = ForestParams(tree_count=tree_count, **variant)
+    serial_trees, serial_bytes = _fit(monkeypatch, tmp_path, params, None)
+    for workers in (2, 3):
+        trees, data = _fit(monkeypatch, tmp_path, params, workers)
+        _assert_no_children_left()
+        assert data == serial_bytes
+        assert len(trees) == tree_count
+        for ours, theirs in zip(trees, serial_trees):
+            for name, dtype in forest._NODE_ARRAYS:
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", [{}, {"max_depth": 3}, {"features_per_split": 1},
+                                     {"min_leaf_size": 7, "features_per_split": 5},
+                                     {"min_leaf_size": 25}],
+                         ids=["default", "max_depth", "features_per_split", "min_leaf_size",
+                              "min_leaf_25"])
+def test_grow_tree_equals_per_feature_argsort_engine(variant):
+    X, y = _parallel_data()
+    y = y.astype(np.uint8)
+    order = np.lexsort((y,) + tuple(X.T[::-1]))
+    X, y = np.ascontiguousarray(X[order]), y[order]
+    XT = X.T.copy()
+    params = ForestParams(tree_count=1, **variant)
+    mtry = params.features_per_split or 3
+    for t in range(6):
+        tree = forest._grow_tree(XT, y.astype(bool), params, mtry, generator((3, 4), t))
+        reference = grow_tree_reference(X, y, params, mtry, generator((3, 4), t))
+        ours = tuple(getattr(tree, name).tolist() for name, _ in forest._NODE_ARRAYS)
+        assert ours == reference
+
+
+def _failing_grow_tree(fail_tree, action):
+    grow = forest._grow_tree
+
+    def grow_or_fail(XT, y, params, mtry, rng):
+        if rng.bit_generator.seed_seq.entropy[-1] == fail_tree:
+            action()
+        return grow(XT, y, params, mtry, rng)
+    return grow_or_fail
+
+
+class _TreeFailure(Exception):
+    pass
+
+
+def _raise():
+    raise _TreeFailure("tree failed")
+
+
+@pytest.mark.parametrize("fail_tree", [0, 1, 5])  # the parent's chunk and both workers'
+def test_tree_error_raises_its_own_type_in_the_parent(monkeypatch, fail_tree):
+    X, y = _parallel_data()
+    monkeypatch.setattr(forest, "_worker_count", lambda trees, rows: 3)
+    monkeypatch.setattr(forest, "_grow_tree", _failing_grow_tree(fail_tree, _raise))
+    with pytest.raises(_TreeFailure, match="tree failed"):
+        train_forest(None, ForestParams(tree_count=9), seed=1, X=X, y=y)
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("fail_tree", [1, 2])
+def test_killed_worker_chunk_is_regrown(monkeypatch, tmp_path, fail_tree):
+    params = ForestParams(tree_count=8)
+    _, serial_bytes = _fit(monkeypatch, tmp_path, params, None)
+    parent = os.getpid()
+
+    def die_in_worker():
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(forest, "_grow_tree", _failing_grow_tree(fail_tree, die_in_worker))
+    monkeypatch.setattr(forest, "_worker_count", lambda trees, rows: 3)
+    X, y = _parallel_data()
+    f = train_forest(None, params, seed=(5, 6), X=X, y=y)
+    _assert_no_children_left()
+    path = tmp_path / "regrown.json"
+    f.save(path)
+    assert path.read_bytes() == serial_bytes
+
+
+def test_worker_count_bounds():
+    cpus = len(os.sched_getaffinity(0))
+    assert forest._worker_count(1, 10**6) == 1
+    assert forest._worker_count(30, 10) == 1  # below the fit-size floor
+    assert forest._worker_count(30, 30000) == min(cpus, 30)
+    assert forest._worker_count(2, 30000) == min(cpus, 2)
+
+
+def test_labels_other_than_0_and_1_rejected():
+    with pytest.raises(ParameterError, match="labels must be 0 or 1"):
+        train_forest(None, ForestParams(tree_count=2), seed=0,
+                     X=[[0.0], [1.0], [2.0]], y=[0, 1, 2])

@@ -9,8 +9,9 @@ from linkanomaly import (ANOMALOUS, NORMAL, InjectionRecord, build_graph,
 from linkanomaly.errors import ExhaustionError, ParameterError
 from linkanomaly.graph import Graph
 from linkanomaly.rng import generator
+from linkanomaly.sampling import sample_training_pairs
 
-from _oracles import ba_loop, inject_loop
+from _oracles import ba_loop, inject_loop, training_pairs_loop
 
 
 def complete_graph(n):
@@ -295,8 +296,6 @@ def test_training_set_clique_has_no_nonedges():
 
 
 def test_training_set_balance_and_exclusion():
-    from linkanomaly.sampling import sample_training_pairs
-
     g = generate_ba(400, 3, seed=2)
     excluded = set(range(40))
     examples = build_link_training_set(g, excluded, 30, seed=3)
@@ -327,3 +326,50 @@ def test_training_set_respects_exclusion_by_construction():
     excluded = set(range(g.vertex_count)) - keep
     with pytest.raises(ExhaustionError):
         build_link_training_set(g, excluded, 50, seed=0)
+
+
+def _pairs_or_error(sample, *args):
+    try:
+        return sample(*args)
+    except ExhaustionError as e:
+        return str(e)
+
+
+def _nearly_complete_graph(n, missing):
+    names = [f"k{i:02d}" for i in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return build_graph([(names[a], names[b]) for a, b in pairs[missing:]], directed=False)
+
+
+@pytest.mark.parametrize("host", list(_hosts_with_isolated_vertices()),
+                         ids=["undirected", "directed"])
+def test_training_pairs_equal_pair_at_a_time_loop(host):
+    n = host.vertex_count
+    for excluded, size, seed in [(set(), 1, 0), (set(range(0, n, 5)), 40, 1),
+                                 ({-1, 3, n + 3}, 150, 2), (set(range(n // 2)), 60, 3)]:
+        for fresh in (True, False):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if not fresh:  # a live generator part-way through its stream
+                ours.random(3, dtype=np.float32)
+                theirs.random(3, dtype=np.float32)
+            assert sample_training_pairs(host, excluded, size, ours) == \
+                training_pairs_loop(host, excluded, size, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert sample_training_pairs(host, excluded, size, (seed, 5)) == \
+            training_pairs_loop(host, excluded, size, generator((seed, 5)))
+
+
+@pytest.mark.parametrize("missing, size", [(3, 5), (12, 10), (40, 30), (2, 2), (1, 1)])
+def test_training_pairs_budget_on_nearly_complete_host(missing, size):
+    # a clique of 30 vertices missing its first `missing` pairs: too few
+    # non-edges for some requests, so the budget runs out part-way through
+    # a block of draws; the error must name the same count
+    g = _nearly_complete_graph(30, missing)
+    for seed in range(3):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _pairs_or_error(sample_training_pairs, g, {29}, size, ours)
+        assert got == _pairs_or_error(training_pairs_loop, g, {29}, size, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    with pytest.raises(ExhaustionError, match=r"found \d+/50 non-existing pairs after the "
+                                              r"5000-attempt budget \(100 x requested\)"):
+        sample_training_pairs(g, set(), 50, seed=0)
