@@ -73,6 +73,8 @@ def _forest_params(args) -> ForestParams:
 
 
 def _cmd_train_link(args) -> int:
+    if args.size < 1:
+        raise _UsageError(f"--size must be >= 1, got {args.size}")
     g = io.load_edge_list(args.graph, args.directed)
     excluded = set()
     if args.exclude:
@@ -100,6 +102,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.top is not None and args.top < 0:
+        raise _UsageError(f"--top must be >= 0, got {args.top}")
     entries = io.load_profiles_csv(args.profiles)
     profiles = [p for _, p in entries]
     names = {p.vertex: name for name, p in entries}

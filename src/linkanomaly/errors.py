@@ -28,10 +28,6 @@ class UnknownVertexError(LinkAnomalyError, KeyError):
     """Lookup of a vertex id or name that is not in the graph."""
 
 
-class ModeError(LinkAnomalyError):
-    """A directional operation was applied to the wrong graph mode."""
-
-
 class InvalidPairError(LinkAnomalyError):
     """A pair feature was requested for v == u."""
 

@@ -9,6 +9,7 @@ repetitions with derived seeds.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -158,20 +159,14 @@ def info_gain(feature_values: Sequence[float], labels: Sequence[int],
 # -- cross-validation --------------------------------------------------------
 
 
-def _profile_matrix(profiles) -> np.ndarray:
-    if isinstance(profiles, np.ndarray):
-        return np.asarray(profiles, dtype=np.float64)
-    return np.array([p.as_row() for p in profiles])
-
-
-def k_fold_cv(profiles, labels: Sequence[int], folds: int, seed,
+def k_fold_cv(X: np.ndarray, labels: Sequence[int], folds: int, seed,
               params=None) -> EvaluationReport:
-    """Stratified k-fold CV of the meta-classifier over vertex profiles.
+    """Stratified k-fold CV of the meta-classifier over a profile matrix.
 
-    Accepts VertexAnomalyProfile objects or a prebuilt feature matrix.
+    Row i of X is one vertex's meta-features (`VertexAnomalyProfile.as_row`).
     The confusion matrix uses a 0.5 vote-fraction operating point.
     """
-    X = _profile_matrix(profiles)
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.uint8)
     if len(X) != len(y):
         raise ShapeError(f"{len(X)} profiles vs {len(y)} labels")
@@ -211,17 +206,18 @@ def _fold_means(folds: list[dict]) -> dict:
 # -- end-to-end harness -------------------------------------------------------
 
 
+@contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
+    """Re-raise an error from the block as a PipelineError naming the stage.
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    Only `Exception` is wrapped: an interrupt or exit passes through as is.
+    """
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as e:
+        raise PipelineError(name, e) from e
 
 
 def injection_count(vertex_count: int, fraction: float) -> int:
@@ -315,9 +311,10 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
                                                  config.direction_mode)
             report.skipped_vertices += len(skipped)
             y = [truth[p.vertex] for p in profiles]
+            matrix = np.array([p.as_row() for p in profiles])
 
         with _stage("cross-validate"):
-            cv = k_fold_cv(profiles, y, config.folds, (run_seed, _S_CV),
+            cv = k_fold_cv(matrix, y, config.folds, (run_seed, _S_CV),
                            config.meta_forest_params())
         for entry in cv.folds:
             report.folds.append({**entry, "run": r})
@@ -330,7 +327,6 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
                     pk_sums[k] = pk_sums.get(k, 0.0) + precision_at_k(
                         ranked, labels_by_vertex, k)
                     pk_counts[k] = pk_counts.get(k, 0) + 1
-            matrix = _profile_matrix(profiles)
             for j, name in enumerate(META_FEATURE_NAMES):
                 ig_sums[name] += info_gain(matrix[:, j], y)
 

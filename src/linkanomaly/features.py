@@ -2,10 +2,11 @@
 
 16 features for directed graphs, 7 for undirected; the order is fixed per
 mode (see FEATURE_NAMES_DIRECTED / FEATURE_NAMES_UNDIRECTED) and must be
-identical at train and predict time.  The per-feature functions and
-`extract_edge_features` compute one pair by merge-scans over the graph's
-sorted adjacency arrays; `extract_feature_matrix` computes a whole batch
-with array operations and gives the same bits, row for row.
+identical at train and predict time; `extract_edge_features` defines each
+one.  It computes one pair from the sorted neighbor slices of its two
+vertices and is the reference; `extract_feature_matrix`, which every
+pipeline stage calls, computes a whole batch with array operations and
+gives the same bits, row for row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidPairError, ModeError
+from .errors import InvalidPairError
 from .graph import Graph
 
 FEATURE_NAMES_DIRECTED = (
@@ -70,139 +71,69 @@ def _check_pair(g: Graph, v: int, u: int) -> None:
         raise InvalidPairError(f"pair features need two distinct vertices, got ({v}, {u})")
 
 
-def _intersect_count(a: np.ndarray, b: np.ndarray) -> int:
-    """|a ∩ b| for sorted unique arrays."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 0:
-        return 0
-    pos = np.searchsorted(b, a)
-    pos[pos == len(b)] = len(b) - 1
-    return int(np.count_nonzero(b[pos] == a))
-
-
 def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a ∩ b for sorted unique arrays."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 0:
-        return a
-    pos = np.searchsorted(b, a)
-    pos_c = np.minimum(pos, len(b) - 1)
-    return a[b[pos_c] == a]
-
-
-def total_friends(g: Graph, v: int, u: int) -> int:
-    """|Γ(v) ∪ Γ(u)| over all-neighbors."""
-    _check_pair(g, v, u)
-    nv, nu = g.neighbors(v, "all"), g.neighbors(u, "all")
-    return len(nv) + len(nu) - _intersect_count(nv, nu)
-
-
-def common_friends(g: Graph, v: int, u: int, mode: str = "all") -> int:
-    """|Γ_mode(v) ∩ Γ_mode(u)|; directional modes are directed-only."""
-    _check_pair(g, v, u)
-    if mode != "all" and not g.directed:
-        raise ModeError(f"common_friends mode {mode!r} requires a directed graph")
-    return _intersect_count(g.neighbors(v, mode), g.neighbors(u, mode))
-
-
-def jaccard(g: Graph, v: int, u: int) -> float:
-    """|Γ(v) ∩ Γ(u)| / |Γ(v) ∪ Γ(u)|, with 0/0 defined as 0."""
-    _check_pair(g, v, u)
-    nv, nu = g.neighbors(v, "all"), g.neighbors(u, "all")
-    inter = _intersect_count(nv, nu)
-    union = len(nv) + len(nu) - inter
-    return inter / union if union else 0.0
-
-
-def preferential_attachment(g: Graph, v: int, u: int) -> int:
-    """|Γ(v)| · |Γ(u)|."""
-    _check_pair(g, v, u)
-    return g.degree(v, "all") * g.degree(u, "all")
-
-
-def transitive_friends(g: Graph, v: int, u: int) -> int:
-    """|Γ_out(v) ∩ Γ_in(u)| (directed only)."""
-    _check_pair(g, v, u)
-    if not g.directed:
-        raise ModeError("transitive_friends requires a directed graph")
-    return _intersect_count(g.neighbors(v, "out"), g.neighbors(u, "in"))
-
-
-def opposite_direction_friends(g: Graph, v: int, u: int) -> int:
-    """1 iff the reciprocal edge (u, v) exists (directed only)."""
-    _check_pair(g, v, u)
-    if not g.directed:
-        raise ModeError("opposite_direction_friends requires a directed graph")
-    return 1 if g.has_edge(u, v) else 0
-
-
-def adamic_adar(g: Graph, v: int, u: int) -> float:
-    """Σ 1/ln|Γ(w)| over shared neighbors w (undirected only).
-
-    Shared neighbors with |Γ(w)| <= 1 are skipped: ln 1 = 0 has no finite
-    reciprocal and a degree-0 vertex cannot be a shared neighbor anyway.
-    The terms are summed by `np.sum` in ascending w, as the batch kernel
-    sums them, so both give the same bits (numpy adds 8 or more terms
-    pairwise, not left to right).
-    """
-    _check_pair(g, v, u)
-    if g.directed:
-        raise ModeError("adamic_adar is defined for undirected graphs")
-    shared = _intersect(g.neighbors(v, "all"), g.neighbors(u, "all"))
-    degs = np.array([g.degree(int(w), "all") for w in shared], dtype=np.int64)
-    return float(np.sum(1.0 / np.log(degs[degs > 1])))
+    pos = np.minimum(np.searchsorted(b, a), len(b) - 1)  # a is empty when b is
+    return a[b[pos] == a]
 
 
 def _w(deg: int) -> float:
     return 1.0 / math.sqrt(1.0 + deg)
 
 
-def knn_weights(g: Graph, v: int, u: int) -> np.ndarray:
-    """The degree-discount weight combinations: 8 directed, 2 undirected.
+def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
+    """The full feature vector for the ordered pair (v, u): the pairwise reference.
 
-    Directed, with w_in(x) = 1/sqrt(1+|Γ_in(x)|) and w_out analogous:
-      (a) w_in(v)+w_in(u)   (b) w_in(v)+w_out(u)  (c) w_out(v)+w_in(u)
-      (d) w_out(v)+w_out(u) (e) w_in(v)·w_in(u)   (f) w_in(v)·w_out(u)
-      (g) w_out(v)·w_in(u)  (h) w_out(v)·w_out(u)
-    Undirected, with w(x) = 1/sqrt(1+|Γ(x)|): w(v)+w(u) and w(v)·w(u).
+    Γ(x) is x's all-neighbors set (either direction when directed); Γ_in,
+    Γ_out and Γ_bi (joined both ways) are the directed views.
+      total_friends               |Γ(v) ∪ Γ(u)|
+      common_friends              |Γ(v) ∩ Γ(u)| (undirected)
+      common_friends_in/out/bi    |Γ_mode(v) ∩ Γ_mode(u)| (directed)
+      jaccard                     |Γ(v) ∩ Γ(u)| / |Γ(v) ∪ Γ(u)|, with 0/0 = 0
+      preferential_attachment     |Γ(v)| · |Γ(u)|
+      transitive_friends          |Γ_out(v) ∩ Γ_in(u)| (directed)
+      opposite_direction_friends  1 iff the reciprocal edge (u, v) exists (directed)
+      adamic_adar                 Σ 1/ln|Γ(w)| over shared neighbors w (undirected)
+      knnw1..knnw8 (directed), with w_in(x) = 1/sqrt(1+|Γ_in(x)|) and w_out alike:
+        (a) w_in(v)+w_in(u)   (b) w_in(v)+w_out(u)  (c) w_out(v)+w_in(u)
+        (d) w_out(v)+w_out(u) (e) w_in(v)·w_in(u)   (f) w_in(v)·w_out(u)
+        (g) w_out(v)·w_in(u)  (h) w_out(v)·w_out(u)
+      knnw9, knnw10 (undirected)  w(v)+w(u), w(v)·w(u), with w(x) = 1/sqrt(1+|Γ(x)|)
+    An undirected pair is unordered: (u, v) gives the same values.
+
+    Adamic–Adar skips shared neighbors with |Γ(w)| <= 1 (ln 1 = 0 has no
+    finite reciprocal) and sums its terms by `np.sum` in ascending w, as the
+    batch kernel does, so both give the same bits: numpy adds 8 or more
+    terms pairwise, not left to right.  `extract_feature_matrix` is checked
+    against this function, so it reads the graph only through `neighbors`,
+    `degree` and `has_edge`.
     """
     _check_pair(g, v, u)
+    nv, nu = g.neighbors(v, "all"), g.neighbors(u, "all")
+    shared = _intersect(nv, nu)
+    union = len(nv) + len(nu) - len(shared)
+    jaccard = len(shared) / union if union else 0.0
+    pref = len(nv) * len(nu)
     if g.directed:
+        def common(mode_v: str, mode_u: str) -> int:
+            return len(_intersect(g.neighbors(v, mode_v), g.neighbors(u, mode_u)))
+
         wiv, wov = _w(g.degree(v, "in")), _w(g.degree(v, "out"))
         wiu, wou = _w(g.degree(u, "in")), _w(g.degree(u, "out"))
-        return np.array([
+        return EdgeFeatureVector(FEATURE_NAMES_DIRECTED, np.array([
+            union, common("in", "in"), common("out", "out"), common("bi", "bi"),
+            jaccard, pref, common("out", "in"), 1 if g.has_edge(u, v) else 0,
             wiv + wiu, wiv + wou, wov + wiu, wov + wou,
             wiv * wiu, wiv * wou, wov * wiu, wov * wou,
-        ])
-    wv, wu = _w(g.degree(v, "all")), _w(g.degree(u, "all"))
-    return np.array([wv + wu, wv * wu])
-
-
-def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
-    """The full feature vector for the ordered pair (v, u)."""
-    _check_pair(g, v, u)
-    if g.directed:
-        values = np.empty(16)
-        values[0] = total_friends(g, v, u)
-        values[1] = common_friends(g, v, u, "in")
-        values[2] = common_friends(g, v, u, "out")
-        values[3] = common_friends(g, v, u, "bi")
-        values[4] = jaccard(g, v, u)
-        values[5] = preferential_attachment(g, v, u)
-        values[6] = transitive_friends(g, v, u)
-        values[7] = opposite_direction_friends(g, v, u)
-        values[8:] = knn_weights(g, v, u)
-        return EdgeFeatureVector(FEATURE_NAMES_DIRECTED, values)
-    values = np.empty(7)
-    values[0] = total_friends(g, v, u)
-    values[1] = common_friends(g, v, u)
-    values[2] = jaccard(g, v, u)
-    values[3] = preferential_attachment(g, v, u)
-    values[4] = adamic_adar(g, v, u)
-    values[5:] = knn_weights(g, v, u)
-    return EdgeFeatureVector(FEATURE_NAMES_UNDIRECTED, values)
+        ], dtype=np.float64))
+    degs = np.array([g.degree(int(w), "all") for w in shared], dtype=np.int64)
+    adamic_adar = float(np.sum(1.0 / np.log(degs[degs > 1])))
+    wv, wu = _w(len(nv)), _w(len(nu))
+    return EdgeFeatureVector(FEATURE_NAMES_UNDIRECTED, np.array([
+        union, len(shared), jaccard, pref, adamic_adar, wv + wu, wv * wu,
+    ], dtype=np.float64))
 
 
 def _shared(g: Graph, degrees: dict, mode_v: str, mode_u: str,

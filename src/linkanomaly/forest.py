@@ -212,13 +212,6 @@ class LinkForest:
             acc += tree.leaf_fraction(X)
         return acc / len(self.trees)
 
-    def predict_proba(self, x) -> float:
-        values = x.values if hasattr(x, "values") else x
-        values = np.asarray(values, dtype=np.float64).reshape(1, -1)
-        if values.shape[1] != self.n_features:
-            raise ShapeError(f"expected {self.n_features} features, got {values.shape[1]}")
-        return float(self.predict_proba_many(values)[0])
-
     # -- persistence ----------------------------------------------------
 
     def save(self, path) -> None:
@@ -301,10 +294,10 @@ def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParam
     """Fit a forest on TrainingExamples (or a prebuilt X, y pair) labeled 0 or 1."""
     params.validate()
     if examples is not None:
-        lengths = {len(np.atleast_1d(ex.features)) for ex in examples}
-        if len(lengths) > 1:
-            raise ShapeError(f"ragged feature vectors: lengths {sorted(lengths)}")
-        X = np.array([np.asarray(ex.features, dtype=np.float64).ravel() for ex in examples])
+        try:
+            X = np.array([ex.features for ex in examples], dtype=np.float64)
+        except ValueError:
+            raise ShapeError("ragged feature vectors: the examples' rows differ in length") from None
         y = np.array([ex.label for ex in examples], dtype=np.uint8)
     elif X is None or y is None:
         raise ParameterError("train_forest needs examples or an (X, y) pair")

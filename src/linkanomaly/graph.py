@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ParseError, UnknownVertexError
-from .rng import generator
 
 NORMAL = 0
 ANOMALOUS = 1
@@ -203,20 +202,6 @@ class Graph:
         row = self.neighbors(u, "out" if self.directed else "all")
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
-
-    # -- sampling -----------------------------------------------------------
-
-    def sample_degree(self, seed) -> int:
-        """One draw from the empirical degree distribution.
-
-        Equivalent to the degree of a uniformly sampled vertex; out-degree
-        for directed graphs.
-        """
-        if self.vertex_count == 0:
-            raise ParameterError("cannot sample a degree from an empty graph")
-        rng = generator(seed)
-        v = int(rng.integers(self.vertex_count))
-        return self.degree(v, "out" if self.directed else "all")
 
     # -- derived graphs -----------------------------------------------------
 

@@ -3,7 +3,9 @@ import pytest
 
 from linkanomaly import (ExperimentConfig, auc, confusion_metrics, info_gain,
                          k_fold_cv, precision_at_k, run_experiment)
-from linkanomaly.errors import (ParameterError, ShapeError, StratificationError,
+from linkanomaly import evaluation
+from linkanomaly.cli import main
+from linkanomaly.errors import (ParameterError, PipelineError, ShapeError, StratificationError,
                                 UndefinedMetricError)
 from linkanomaly.evaluation import injection_count
 
@@ -238,6 +240,26 @@ def test_run_experiment_null_band():
 def test_run_experiment_validates_config():
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig())  # no graph source
+
+
+def test_stage_names_errors_but_lets_interrupts_through(monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise fail.error
+
+    monkeypatch.setattr(evaluation, "generate_ba", fail)
+    fail.error = ValueError("no host")
+    with pytest.raises(PipelineError, match="stage 'prepare-graph': no host"):
+        run_experiment(_tiny_config())
+    # Ctrl-C during evaluate is an interrupt, not a "data error" with exit 2
+    fail.error = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(_tiny_config())
+    config = tmp_path / "exp.cfg"
+    config.write_text("ba_n = 1500\nba_m = 4\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["-q", "evaluate", "--config", str(config),
+              "--report-out", str(tmp_path / "r.json"), "--pk-out", str(tmp_path / "pk.csv")])
+    assert "error" not in capsys.readouterr().err
 
 
 # -- injection_count -----------------------------------------------------------------

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkanomaly import build_graph, extract_edge_features, extract_feature_matrix
-from linkanomaly.errors import InvalidPairError, ModeError, UnknownVertexError
-from linkanomaly.features import (FEATURE_NAMES_DIRECTED, FEATURE_NAMES_UNDIRECTED,
-                                  adamic_adar, common_friends, jaccard, knn_weights,
-                                  opposite_direction_friends, preferential_attachment,
-                                  total_friends, transitive_friends)
+from linkanomaly import build_graph, extract_edge_features, extract_feature_matrix, features
+from linkanomaly.errors import InvalidPairError, UnknownVertexError
+from linkanomaly.features import FEATURE_NAMES_DIRECTED, FEATURE_NAMES_UNDIRECTED
+from linkanomaly.graph import Graph
 
 from _oracles import all_graphs, edge_features
 from conftest import random_graph
@@ -25,75 +23,64 @@ def _graph_from_ids(edges, directed, n):
     return g
 
 
+def _features(g, v, u):
+    return extract_edge_features(g, g.id_of(v), g.id_of(u))
+
+
 def test_total_friends_examples():
     g = build_graph([("v", "a"), ("v", "b"), ("u", "b"), ("u", "c")], directed=False)
-    assert total_friends(g, g.id_of("v"), g.id_of("u")) == 3
+    assert _features(g, "v", "u")["total_friends"] == 3
 
 
 def test_total_friends_shared_single():
     g = build_graph([("v", "a"), ("u", "a")], directed=False)
-    assert total_friends(g, g.id_of("v"), g.id_of("u")) == 1
+    assert _features(g, "v", "u")["total_friends"] == 1
 
 
 def test_common_friends_modes():
     g = build_graph([("v", "a"), ("u", "a")], directed=True)
-    v, u = g.id_of("v"), g.id_of("u")
-    assert common_friends(g, v, u, "out") == 1
-    assert common_friends(g, v, u, "in") == 0
-
-
-def test_common_friends_mode_error_on_undirected():
-    g = build_graph([("v", "u")], directed=False)
-    with pytest.raises(ModeError):
-        common_friends(g, g.id_of("v"), g.id_of("u"), "out")
+    fv = _features(g, "v", "u")
+    assert fv["common_friends_out"] == 1
+    assert fv["common_friends_in"] == 0
 
 
 def test_jaccard_values():
     g = build_graph([("v", "a"), ("v", "b"), ("u", "b"), ("u", "c")], directed=False)
-    assert jaccard(g, g.id_of("v"), g.id_of("u")) == pytest.approx(1 / 3)
+    assert _features(g, "v", "u")["jaccard"] == pytest.approx(1 / 3)
 
 
 def test_jaccard_empty_union_is_zero():
-    from linkanomaly.graph import Graph
-
     # isolated vertices can only exist in directly constructed graphs
     g = Graph(["a", "b", "v", "u"], np.array([(0, 1)]), directed=False)
-    assert jaccard(g, g.id_of("v"), g.id_of("u")) == 0.0
+    assert _features(g, "v", "u")["jaccard"] == 0.0
 
 
 def test_preferential_attachment():
     g = build_graph([("v", "a"), ("v", "b"), ("u", "a"), ("u", "b"), ("u", "c")],
                     directed=False)
-    assert preferential_attachment(g, g.id_of("v"), g.id_of("u")) == 6
+    assert _features(g, "v", "u")["preferential_attachment"] == 6
 
 
 def test_transitive_friends_two_paths():
     g = build_graph([("v", "a"), ("v", "b"), ("a", "u"), ("b", "u")], directed=True)
-    assert transitive_friends(g, g.id_of("v"), g.id_of("u")) == 2
+    assert _features(g, "v", "u")["transitive_friends"] == 2
 
 
 def test_transitive_friends_direction_matters():
     g = build_graph([("a", "v"), ("u", "a")], directed=True)
-    assert transitive_friends(g, g.id_of("v"), g.id_of("u")) == 0
-
-
-def test_transitive_friends_undirected_mode_error():
-    g = build_graph([("v", "u")], directed=False)
-    with pytest.raises(ModeError):
-        transitive_friends(g, g.id_of("v"), g.id_of("u"))
+    assert _features(g, "v", "u")["transitive_friends"] == 0
 
 
 def test_opposite_direction_friends():
     g = build_graph([("v", "u"), ("u", "v"), ("v", "w")], directed=True)
-    v, u, w = g.id_of("v"), g.id_of("u"), g.id_of("w")
-    assert opposite_direction_friends(g, v, u) == 1
-    assert opposite_direction_friends(g, v, w) == 0
-    assert opposite_direction_friends(g, u, w) == 0
+    assert _features(g, "v", "u")["opposite_direction_friends"] == 1
+    assert _features(g, "v", "w")["opposite_direction_friends"] == 0
+    assert _features(g, "u", "w")["opposite_direction_friends"] == 0
 
 
 def test_adamic_adar_single_shared():
     g = build_graph([("v", "w"), ("u", "w")], directed=False)
-    assert adamic_adar(g, g.id_of("v"), g.id_of("u")) == pytest.approx(1 / math.log(2))
+    assert _features(g, "v", "u")["adamic_adar"] == pytest.approx(1 / math.log(2))
 
 
 def test_adamic_adar_two_shared():
@@ -101,25 +88,17 @@ def test_adamic_adar_two_shared():
     g = build_graph([("v", "w"), ("u", "w"), ("v", "x"), ("u", "x"), ("x", "z")],
                     directed=False)
     expected = 1 / math.log(2) + 1 / math.log(3)
-    assert adamic_adar(g, g.id_of("v"), g.id_of("u")) == pytest.approx(expected)
-
-
-def test_adamic_adar_directed_mode_error():
-    g = build_graph([("v", "u")], directed=True)
-    with pytest.raises(ModeError):
-        adamic_adar(g, g.id_of("v"), g.id_of("u"))
+    assert _features(g, "v", "u")["adamic_adar"] == pytest.approx(expected)
 
 
 def test_knn_weights_directed_values():
     # |Γ_in(v)|=3, |Γ_in(u)|=0 -> knnw1 = 1/2 + 1 = 1.5
     g = build_graph([("a", "v"), ("b", "v"), ("c", "v"), ("u", "x")], directed=True)
-    v, u = g.id_of("v"), g.id_of("u")
-    w = knn_weights(g, v, u)
-    assert w[0] == pytest.approx(1.5)
+    assert _features(g, "v", "u")["knnw1"] == pytest.approx(1.5)
     # |Γ_out(v)|=|Γ_out(u)|=3 -> knnw8 = 1/4
     g2 = build_graph([("v", "a"), ("v", "b"), ("v", "c"),
                       ("u", "a"), ("u", "b"), ("u", "c")], directed=True)
-    assert knn_weights(g2, g2.id_of("v"), g2.id_of("u"))[7] == pytest.approx(0.25)
+    assert _features(g2, "v", "u")["knnw8"] == pytest.approx(0.25)
 
 
 def test_extract_triangle_matches_hand_computation():
@@ -131,8 +110,6 @@ def test_extract_triangle_matches_hand_computation():
 
 
 def test_extract_isolated_pair():
-    from linkanomaly.graph import Graph
-
     g = Graph(["a", "b", "v", "u"], np.array([(0, 1)]), directed=False)
     fv = extract_edge_features(g, g.id_of("v"), g.id_of("u"))
     assert fv.values == pytest.approx([0, 0, 0, 0, 0, 2, 1])
@@ -207,29 +184,6 @@ def test_random_graphs_vs_oracle(directed):
                     assert value == pytest.approx(ref[name], abs=1e-12)
 
 
-def test_composition_matches_standalone():
-    rng = np.random.default_rng(3)
-    pairs, _ = random_graph(rng, 12, directed=True, p=0.3)
-    g = build_graph(pairs, directed=True)
-    done = 0
-    while done < 1000:
-        v, u = rng.integers(g.vertex_count, size=2)
-        if v == u:
-            continue
-        v, u = int(v), int(u)
-        fv = extract_edge_features(g, v, u)
-        assert fv["total_friends"] == total_friends(g, v, u)
-        assert fv["common_friends_in"] == common_friends(g, v, u, "in")
-        assert fv["common_friends_out"] == common_friends(g, v, u, "out")
-        assert fv["common_friends_bi"] == common_friends(g, v, u, "bi")
-        assert fv["jaccard"] == jaccard(g, v, u)
-        assert fv["preferential_attachment"] == preferential_attachment(g, v, u)
-        assert fv["transitive_friends"] == transitive_friends(g, v, u)
-        assert fv["opposite_direction_friends"] == opposite_direction_friends(g, v, u)
-        assert np.array_equal(fv.values[8:], knn_weights(g, v, u))
-        done += 1
-
-
 def test_feature_matrix_matches_per_pair():
     rng = np.random.default_rng(9)
     pairs, _ = random_graph(rng, 15, directed=False, p=0.25)
@@ -276,12 +230,14 @@ def test_bounds_properties(data):
     assert 0.0 <= fv["jaccard"] <= 1.0
     assert fv["total_friends"] <= g.vertex_count
     assert np.isfinite(fv.values).all()
-    kn = knn_weights(g, v, u)
+    kn = np.array([value for name, value in fv if name.startswith("knnw")])
     half = len(kn) // 2
     assert np.all(kn[:half] > 0) and np.all(kn[:half] <= 2.0)
     assert np.all(kn[half:] > 0) and np.all(kn[half:] <= 1.0)
     if directed:
-        assert common_friends(g, v, u, "all") >= common_friends(g, v, u, "bi")
+        # |Γ(v) ∩ Γ(u)| over all-neighbors, from the union
+        common_all = g.degree(v) + g.degree(u) - fv["total_friends"]
+        assert common_all >= fv["common_friends_bi"]
 
 
 # -- batch kernel against the pairwise reference, bit for bit ----------------------
@@ -357,6 +313,24 @@ def test_feature_matrix_bitwise_with_many_shared_neighbors(directed):
                           for w in np.intersect1d(g.neighbors(v), g.neighbors(u)))
                       for v, u in query]
         assert (X[:, aa] != np.array(sequential)).any()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_pairwise_reference_does_not_use_the_batch_lookups(monkeypatch, directed):
+    g = _hub_host(directed)
+    hubs = [g.id_of(f"h{i}") for i in range(6)]
+    query = [(a, b) for a in hubs for b in hubs if a != b]
+    query += [(int(a), int(b)) for a, b in g.edges[:300]]
+    expected = extract_feature_matrix(g, query).tobytes()
+
+    def batch_only(*args, **kwargs):
+        raise AssertionError("the pairwise reference reached a batch-kernel lookup")
+
+    monkeypatch.setattr(Graph, "adjacent", batch_only)
+    monkeypatch.setattr(Graph, "gather_neighbors", batch_only)
+    monkeypatch.setattr(features, "extract_feature_matrix", batch_only)
+    monkeypatch.setattr(features, "_shared", batch_only)
+    assert _stacked(g, query).tobytes() == expected
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -18,8 +18,7 @@ def _examples(X, y):
 def test_separable_single_feature():
     ex = _examples([[0.0]] * 100 + [[1.0]] * 100, [0] * 100 + [1] * 100)
     f = train_forest(ex, ForestParams(tree_count=10), seed=1)
-    assert f.predict_proba([0.0]) == 0.0
-    assert f.predict_proba([1.0]) == 1.0
+    assert f.predict_proba_many([[0.0], [1.0]]).tolist() == [0.0, 1.0]
     # every tree must have split on the only feature
     assert all(t.feature[0] == 0 for t in f.trees)
 
@@ -27,14 +26,14 @@ def test_separable_single_feature():
 def test_held_out_midpoint_goes_positive():
     ex = _examples([[0.0]] * 100 + [[1.0]] * 100, [0] * 100 + [1] * 100)
     f = train_forest(ex, ForestParams(tree_count=10), seed=1)
-    assert f.predict_proba([0.9]) > 0.5
+    assert f.predict_proba_many([[0.9]])[0] > 0.5
 
 
 def test_unsplittable_point_votes_near_half():
     ex = _examples([[3.0], [3.0]], [0, 1])
     for seed in range(5):
         f = train_forest(ex, ForestParams(tree_count=100), seed=seed)
-        assert 0.4 <= f.predict_proba([3.0]) <= 0.6
+        assert 0.4 <= f.predict_proba_many([[3.0]])[0] <= 0.6
 
 
 def test_same_seed_identical_predictions():
@@ -74,7 +73,7 @@ def test_predict_shape_mismatch():
     ex = _examples([[0.0], [1.0]], [0, 1])
     f = train_forest(ex, ForestParams(tree_count=5), seed=0)
     with pytest.raises(ShapeError):
-        f.predict_proba([0.0, 1.0])
+        f.predict_proba_many([[0.0, 1.0]])
 
 
 def test_probabilities_bounded():
@@ -90,8 +89,7 @@ def test_pure_leaf_probabilities():
     # a forest of one stump over a clean split gives exact 0/1
     ex = _examples([[0.0]] * 50 + [[1.0]] * 50, [0] * 50 + [1] * 50)
     f = train_forest(ex, ForestParams(tree_count=1), seed=2)
-    assert f.predict_proba([1.0]) == 1.0
-    assert f.predict_proba([0.0]) == 0.0
+    assert f.predict_proba_many([[1.0], [0.0]]).tolist() == [1.0, 0.0]
 
 
 def _separable_benchmark(n=500, seed=0):

@@ -98,50 +98,6 @@ def test_permutation_invariance():
     assert np.array_equal(g1.edges, g2.edges)
 
 
-def test_sample_degree_star():
-    # star K1,3: degrees are [3, 1, 1, 1]
-    g = build_graph([("c", "l1"), ("c", "l2"), ("c", "l3")], directed=False)
-    rng = np.random.default_rng(0)
-    draws = np.array([g.sample_degree(rng) for _ in range(10_000)])
-    assert set(np.unique(draws)) <= {1, 3}
-    assert abs(np.mean(draws == 1) - 0.75) < 0.02
-
-
-def test_sample_degree_single_edge():
-    g = build_graph([("a", "b")], directed=False)
-    assert all(g.sample_degree(s) == 1 for s in range(20))
-
-
-def test_sample_degree_regular():
-    # 4-cycle: every vertex has degree 2
-    g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], directed=False)
-    assert all(g.sample_degree(s) == 2 for s in range(20))
-
-
-def test_sample_degree_directed_uses_out_degree():
-    g = build_graph([("a", "b"), ("a", "c"), ("a", "d")], directed=True)
-    draws = {g.sample_degree(s) for s in range(50)}
-    assert draws <= {0, 3}  # out-degrees are 3 (a) and 0 (leaves)
-
-
-def test_sample_degree_chi_squared_goodness_of_fit():
-    from scipy import stats
-
-    # fixed irregular graph: path + star mix
-    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
-             ("c", "f"), ("c", "g"), ("g", "h")]
-    g = build_graph(edges, directed=False)
-    degs = g.degrees("all")
-    rng = np.random.default_rng(123)
-    n = 100_000
-    vals, counts = np.unique(degs, return_counts=True)
-    expected = counts / g.vertex_count * n
-    draws = np.array([g.sample_degree(rng) for _ in range(n)])
-    observed = np.array([(draws == v).sum() for v in vals])
-    _, p = stats.chisquare(observed, expected)
-    assert p >= 0.01
-
-
 def test_labels_roundtrip():
     g = build_graph([("a", "b"), ("b", "c")], directed=False)
     labeled = g.with_labels({"b": 1})

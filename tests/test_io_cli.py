@@ -403,3 +403,33 @@ def test_cli_inject_fraction_outside_open_unit_interval_is_a_usage_error(tmp_pat
     assert done.returncode == 1, done.stderr
     assert "usage error" in done.stderr and "anomaly fraction must be in (0, 1)" in done.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+# -- counts below their range ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_cli_train_link_size_below_one_is_a_usage_error(tmp_path, score_inputs, size, capsys):
+    graph, _, _ = score_inputs
+    model = tmp_path / "model.json"
+    assert main(["-q", "train-link", "--graph", str(graph), "--size", size,
+                 "--model-out", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"--size must be >= 1, got {size}" in err
+    assert not model.exists()
+
+
+def test_cli_rank_negative_top_is_a_usage_error(tmp_path, score_inputs, capsys):
+    graph, vertices, _ = score_inputs
+    model, profiles = tmp_path / "model.json", tmp_path / "profiles.csv"
+    assert main(["-q", "train-link", "--graph", str(graph), "--size", "30", "--trees", "3",
+                 "--model-out", str(model)]) == 0
+    assert main(["-q", "score", "--graph", str(graph), "--model", str(model),
+                 "--vertices", str(vertices), "--out", str(profiles)]) == 0
+    capsys.readouterr()
+    assert main(["-q", "rank", "--profiles", str(profiles), "--top", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage error" in err and "--top must be >= 0, got -1" in err
+    rows = len(load_profiles_csv(profiles))
+    assert main(["-q", "rank", "--profiles", str(profiles), "--top", str(rows)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1
