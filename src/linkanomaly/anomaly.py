@@ -29,6 +29,7 @@ META_FEATURE_NAMES = (
 )
 
 DIRECTION_MODES = ("out", "in", "all")
+RANK_ORDERS = ("desc", "asc")
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def rank_vertices(profiles: Sequence[VertexAnomalyProfile], by: str,
     """
     if by not in META_FEATURE_NAMES:
         raise ParameterError(f"unknown meta-feature {by!r}; expected one of {META_FEATURE_NAMES}")
-    if order not in ("desc", "asc"):
-        raise ParameterError(f"order must be 'desc' or 'asc', got {order!r}")
+    if order not in RANK_ORDERS:
+        raise ParameterError(f"order must be one of {RANK_ORDERS}, got {order!r}")
     sign = -1.0 if order == "desc" else 1.0
     return [p.vertex for p in sorted(profiles, key=lambda p: (sign * p.value(by), p.vertex))]

@@ -14,7 +14,8 @@ import logging
 import sys
 
 from . import io
-from .anomaly import META_FEATURE_NAMES, profile_vertices, rank_vertices
+from .anomaly import (DIRECTION_MODES, META_FEATURE_NAMES, RANK_ORDERS, profile_vertices,
+                      rank_vertices)
 from .config import ExperimentConfig, load_config
 from .errors import LinkAnomalyError, ParameterError
 from .evaluation import injection_count, run_experiment
@@ -183,14 +184,14 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--vertices", required=True, help="file of vertex names to profile")
     p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--direction", choices=("out", "in", "all"), default="out")
+    p.add_argument("--direction", choices=DIRECTION_MODES, default="out")
     p.add_argument("--out", required=True, help="profile CSV output path")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("rank", help="rank a profile CSV by one meta-feature")
     p.add_argument("--profiles", required=True)
     p.add_argument("--by", choices=META_FEATURE_NAMES, default="abnormality_probability")
-    p.add_argument("--order", choices=("desc", "asc"), default="desc")
+    p.add_argument("--order", choices=RANK_ORDERS, default="desc")
     p.add_argument("--top", type=int, default=None)
     p.set_defaults(func=_cmd_rank)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .anomaly import DIRECTION_MODES
 from .errors import ParameterError, ParseError, named_decode_error
 from .forest import ForestParams
 
@@ -91,8 +92,8 @@ class ExperimentConfig:
             raise ParameterError("folds must be >= 2")
         if self.meta_tree_count < 1:
             raise ParameterError("meta_tree_count must be positive")
-        if self.direction_mode not in ("out", "in", "all"):
-            raise ParameterError("direction_mode must be out, in, or all")
+        if self.direction_mode not in DIRECTION_MODES:
+            raise ParameterError(f"direction_mode must be one of {DIRECTION_MODES}")
         if self.exclusion_mode not in ("selected", "endpoints"):
             raise ParameterError("exclusion_mode must be 'selected' or 'endpoints'")
         self.forest_params().validate()

@@ -251,8 +251,7 @@ def _dedup_id_edges(ids: np.ndarray, n: int, directed: bool):
     return np.column_stack([uniq // n, uniq % n]), n_loops, len(key) - len(uniq)
 
 
-def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool,
-                labels: Mapping[str, int] | None = None) -> Graph:
+def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool) -> Graph:
     """Intern vertex names and build a :class:`Graph` from name pairs.
 
     Self-loops and duplicate edges are dropped; the drop counts are kept on
@@ -270,11 +269,10 @@ def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool,
         endpoints += (a, b)
     if not endpoints:
         raise ParameterError("edge list is empty")
-    return graph_from_endpoints(endpoints, directed, labels)
+    return graph_from_endpoints(endpoints, directed)
 
 
-def graph_from_endpoints(endpoints: Sequence[str], directed: bool,
-                         labels: Mapping[str, int] | None = None) -> Graph:
+def graph_from_endpoints(endpoints: Sequence[str], directed: bool) -> Graph:
     """:func:`build_graph` of the pairs (endpoints[0], endpoints[1]), (endpoints[2], ...).
 
     The names are taken as valid: non-empty strings, an even number of them.
@@ -283,12 +281,4 @@ def graph_from_endpoints(endpoints: Sequence[str], directed: bool,
     index = dict(zip(names, range(len(names))))
     ids = np.fromiter(map(index.__getitem__, endpoints), dtype=np.int64, count=len(endpoints))
     ids, n_loops, n_dups = _dedup_id_edges(ids.reshape(-1, 2), len(names), directed)
-
-    label_arr = None
-    if labels is not None:
-        label_arr = np.zeros(len(names), dtype=np.int8)
-        for name, label in labels.items():
-            if name in index:
-                label_arr[index[name]] = label
-    return Graph(names, ids, directed, labels=label_arr,
-                 dropped_self_loops=n_loops, dropped_duplicates=n_dups)
+    return Graph(names, ids, directed, dropped_self_loops=n_loops, dropped_duplicates=n_dups)

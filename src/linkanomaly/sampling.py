@@ -12,6 +12,8 @@ Four pieces feed the pipeline:
   qualifying neighbors, each itself with > min_friends neighbors);
 * `build_link_training_set` pairs existing edges (label 0) with uniformly
   drawn non-existing pairs (label 1), never touching the test vertices.
+
+Both rejection samplers, of test vertices and of non-edges, share one loop.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ExhaustionError, ParameterError
 from .features import extract_feature_matrix
 from .forest import TrainingExample
-from .graph import ANOMALOUS, Graph
+from .graph import ANOMALOUS, NORMAL, Graph
 from .rng import generator
 
 # rejection loops give up after ATTEMPT_FACTOR * requested draws
@@ -170,6 +172,32 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
     return out, record
 
 
+def _first_accepted(rng, high: int, width: int, need: int, accept) -> np.ndarray:
+    """The first `need` distinct accepted keys among ATTEMPT_FACTOR * need attempts.
+
+    Attempt i is draws width*i .. width*i + width - 1 of the stream, in [0, high).
+    `accept` maps a (k, width) block to (keys, ok): each attempt's int64 key, a
+    function of the attempt alone, and a fresh mask of the accepted ones.  The
+    Generator is left where drawing one attempt at a time to the last kept key would.
+    """
+    budget = ATTEMPT_FACTOR * need
+    kept = np.empty(0, dtype=np.int64)
+    attempts = 0
+    while len(kept) < need and attempts < budget:
+        block = min(budget - attempts, 2 * (need - len(kept)) + 64)
+        state = rng.bit_generator.state
+        keys, ok = accept(rng.integers(0, high, size=(block, width)))
+        ok[ok] = ~np.isin(keys[ok], kept)
+        hits = np.flatnonzero(ok)
+        taken = np.sort(hits[np.unique(keys[hits], return_index=True)[1]])[:need - len(kept)]
+        kept = np.concatenate([kept, keys[taken]])
+        attempts += block
+        if len(kept) == need and taken[-1] + 1 < block:
+            rng.bit_generator.state = state
+            rng.integers(0, high, size=(taken[-1] + 1, width))
+    return kept
+
+
 def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
                          min_friends: int, seed) -> TestSet:
     """Accept `n` distinct vertices by rejection sampling.
@@ -183,42 +211,36 @@ def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
     if n < 1:
         raise ParameterError(f"requested vertex count must be >= 1, got {n}")
     rng = generator(seed)
-    budget = ATTEMPT_FACTOR * n
-    degrees = g.degrees("all")
+    rich = g.degrees("all") > min_friends
 
-    selected: list[int] = []
-    chosen: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
-    labels: dict[int, int] = {}
+    def accept(draws):
+        v = draws[:, 0]
+        ok = rich[v]
+        if label_filter is not None and g.labels is not None:
+            ok &= g.labels[v] == label_filter
+        counts, nbrs = g.gather_neighbors(v[ok], "all")
+        ends = np.cumsum(counts)
+        rich_seen = np.concatenate(([0], np.cumsum(rich[nbrs])))
+        ok[ok] = rich_seen[ends] - rich_seen[ends - counts] > min_friends
+        return v, ok
 
-    attempts = 0
-    while len(selected) < n:
-        if attempts >= budget:
-            raise ExhaustionError(
-                f"accepted {len(selected)}/{n} vertices after the {budget}-attempt "
-                f"budget (100 x requested); constraints too strict for this graph")
-        attempts += 1
-        v = int(rng.integers(g.vertex_count))
-        if v in chosen:
-            continue
-        if label_filter is not None and g.labels is not None and g.label_of(v) != label_filter:
-            continue
-        if degrees[v] <= min_friends:
-            continue
-        qualified = [int(u) for u in g.neighbors(v, "all") if degrees[u] > min_friends]
-        if len(qualified) <= min_friends:
-            continue
-        selected.append(v)
-        chosen.add(v)
-        labels[v] = g.label_of(v)
-        for u in qualified:
-            e = (v, u) if g.directed else (min(v, u), max(v, u))
-            if e not in seen_edges:
-                seen_edges.add(e)
-                edges.append(e)
+    chosen = _first_accepted(rng, g.vertex_count, 1, n, accept)
+    if len(chosen) < n:
+        raise ExhaustionError(
+            f"accepted {len(chosen)}/{n} vertices after the {ATTEMPT_FACTOR * n}-attempt "
+            f"budget (100 x requested); constraints too strict for this graph")
 
-    return TestSet(tuple(selected), tuple(edges), labels)
+    # each selected vertex's edges to its rich neighbors, first occurrence kept
+    counts, nbrs = g.gather_neighbors(chosen, "all")
+    keep = rich[nbrs]
+    v, u = np.repeat(chosen, counts)[keep], nbrs[keep].astype(np.int64)
+    if not g.directed:
+        v, u = np.minimum(v, u), np.maximum(v, u)
+    first = np.sort(np.unique(v * g.vertex_count + u, return_index=True)[1])
+    selected = tuple(chosen.tolist())
+    labels = [NORMAL] * n if g.labels is None else g.labels[chosen].tolist()
+    return TestSet(selected, tuple(zip(v[first].tolist(), u[first].tolist())),
+                   dict(zip(selected, labels)))
 
 
 def sample_training_pairs(g: Graph, excluded, size_per_class: int, seed
@@ -249,39 +271,23 @@ def sample_training_pairs(g: Graph, excluded, size_per_class: int, seed
     picked = eligible[rng.choice(len(eligible), size=size_per_class, replace=False)]
     negative_pairs = list(map(tuple, g.edges[picked].tolist()))
 
-    # Attempt i is the stream's draws 2i (v) and 2i + 1 (u).  Every test
-    # below is a function of the canonical pair, so a pair is kept iff it
-    # passes them and is its first passing occurrence in the stream.
     n = g.vertex_count
-    budget = ATTEMPT_FACTOR * size_per_class
-    kept = np.empty(0, dtype=np.int64)  # keys v * n + u, in stream order
-    attempts = 0
-    while len(kept) < size_per_class:
-        if attempts >= budget:
-            raise ExhaustionError(
-                f"found {len(kept)}/{size_per_class} non-existing pairs "
-                f"after the {budget}-attempt budget (100 x requested)")
-        block = min(budget - attempts, 2 * (size_per_class - len(kept)) + 64)
-        state = rng.bit_generator.state
-        v, u = rng.integers(0, n, size=2 * block).reshape(-1, 2).T
+
+    def accept(draws):
+        v, u = draws.T
         ok = v != u
         if excluded:
             ok &= ~(np.isin(v, ex) | np.isin(u, ex))
         if not g.directed:
             v, u = np.minimum(v, u), np.maximum(v, u)
         ok[ok] = ~g.adjacent(v[ok], u[ok], "out" if g.directed else "all")
-        keys = v * n + u
-        ok[ok] = ~np.isin(keys[ok], kept)
-        first = np.zeros(block, dtype=bool)
-        first[np.flatnonzero(ok)[np.unique(keys[ok], return_index=True)[1]]] = True
-        taken = np.flatnonzero(first)[:size_per_class - len(kept)]
-        kept = np.concatenate([kept, keys[taken]])
-        if len(kept) < size_per_class:
-            attempts += block
-        elif taken[-1] + 1 < block:
-            # leave a caller's Generator where the pair-at-a-time draws would
-            rng.bit_generator.state = state
-            rng.integers(0, n, size=2 * (taken[-1] + 1))
+        return v * n + u, ok
+
+    kept = _first_accepted(rng, n, 2, size_per_class, accept)
+    if len(kept) < size_per_class:
+        raise ExhaustionError(
+            f"found {len(kept)}/{size_per_class} non-existing pairs after the "
+            f"{ATTEMPT_FACTOR * size_per_class}-attempt budget (100 x requested)")
     positive_pairs = list(zip((kept // n).tolist(), (kept % n).tolist()))
 
     return negative_pairs, positive_pairs

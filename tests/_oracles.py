@@ -210,9 +210,10 @@ def ceiling_margin(a, per_class, runs=1):
 # -- host construction and pair sampling ----------------------------------------------
 #
 # The per-draw and per-line loops that `generate_ba`, `inject_anomalies`,
-# `load_edge_list` and `sample_training_pairs` replaced.  Each takes a live Generator (or a path) and
-# returns plain Python values, so a test can compare the array-built
-# outputs, and the stream position a Generator is left at, against them.
+# `load_edge_list`, `sample_test_vertices` and `sample_training_pairs`
+# replaced.  Each takes a live Generator (or a path) and returns plain
+# Python values, so a test can compare the array-built outputs, and the
+# stream position a Generator is left at, against them.
 
 
 def ba_loop(n, m, rng):
@@ -294,6 +295,45 @@ def edge_list_loop(path, directed):
     kept = [(index[a], index[b]) for a, b in pairs if a != b]
     edge_set = {e if directed else (min(e), max(e)) for e in kept}
     return names, sorted(edge_set), len(pairs) - len(kept), len(kept) - len(edge_set)
+
+
+def inspected_vertices_loop(g, n, label_filter, min_friends, rng):
+    """(selected, edges, labels) of a test set drawn one vertex at a time.
+
+    Raises the sampler's ExhaustionError, with its message, when the
+    attempt budget runs out.
+    """
+    from linkanomaly.errors import ExhaustionError
+
+    budget = 100 * n
+    degrees = g.degrees("all")
+    selected, chosen, edges, seen_edges, labels = [], set(), [], set(), {}
+    attempts = 0
+    while len(selected) < n:
+        if attempts >= budget:
+            raise ExhaustionError(
+                f"accepted {len(selected)}/{n} vertices after the {budget}-attempt "
+                f"budget (100 x requested); constraints too strict for this graph")
+        attempts += 1
+        v = int(rng.integers(g.vertex_count))
+        if v in chosen:
+            continue
+        if label_filter is not None and g.labels is not None and g.label_of(v) != label_filter:
+            continue
+        if degrees[v] <= min_friends:
+            continue
+        qualified = [int(u) for u in g.neighbors(v, "all") if degrees[u] > min_friends]
+        if len(qualified) <= min_friends:
+            continue
+        selected.append(v)
+        chosen.add(v)
+        labels[v] = g.label_of(v)
+        for u in qualified:
+            e = (v, u) if g.directed else (min(v, u), max(v, u))
+            if e not in seen_edges:
+                seen_edges.add(e)
+                edges.append(e)
+    return tuple(selected), tuple(edges), labels
 
 
 def training_pairs_loop(g, excluded, size_per_class, rng):

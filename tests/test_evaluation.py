@@ -237,6 +237,29 @@ def test_run_experiment_null_band():
     assert 0.4 <= report.averaged["auc"] <= 0.6
 
 
+@pytest.mark.parametrize("mode", ["selected", "endpoints"])
+def test_exclusion_mode_decides_what_link_training_avoids(monkeypatch, mode):
+    test_sets, excluded = [], []
+    real_sample, real_build = evaluation.sample_test_vertices, evaluation.build_link_training_set
+
+    def sample(*args):
+        test_sets.append(real_sample(*args))
+        return test_sets[-1]
+
+    def build(g, avoid, *args):
+        excluded.append(set(avoid))
+        return real_build(g, avoid, *args)
+
+    monkeypatch.setattr(evaluation, "sample_test_vertices", sample)
+    monkeypatch.setattr(evaluation, "build_link_training_set", build)
+    run_experiment(_tiny_config(exclusion_mode=mode, run_count=1, tree_count=5,
+                                meta_tree_count=5, link_train_size_per_class=100))
+    pos, neg = test_sets
+    selected = set(pos.selected) | set(neg.selected)
+    assert excluded == [pos.vertices | neg.vertices if mode == "endpoints" else selected]
+    assert len(pos.vertices | neg.vertices) > len(selected)
+
+
 def test_run_experiment_validates_config():
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig())  # no graph source

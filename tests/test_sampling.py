@@ -11,7 +11,7 @@ from linkanomaly.graph import Graph
 from linkanomaly.rng import generator
 from linkanomaly.sampling import sample_training_pairs
 
-from _oracles import ba_loop, inject_loop, training_pairs_loop
+from _oracles import ba_loop, inject_loop, inspected_vertices_loop, training_pairs_loop
 
 
 def complete_graph(n):
@@ -273,6 +273,48 @@ def test_sample_deterministic():
     a = sample_test_vertices(g, 20, None, 3, seed=4)
     b = sample_test_vertices(g, 20, None, 3, seed=4)
     assert a.selected == b.selected and a.edges == b.edges
+
+
+def _test_set_or_error(sample, *args):
+    try:
+        ts = sample(*args)
+    except ExhaustionError as e:
+        return str(e)
+    return ts if isinstance(ts, tuple) else (ts.selected, ts.edges, ts.labels)
+
+
+def _test_set_hosts():
+    undirected, directed = _hosts_with_isolated_vertices()
+    yield "undirected-labelled", undirected
+    yield "undirected", Graph(undirected.names, undirected.edges, directed=False)
+    labels = np.zeros(directed.vertex_count, dtype=np.int8)
+    labels[1::4] = ANOMALOUS
+    yield "directed-labelled", Graph(directed.names, directed.edges, True, labels=labels)
+    yield "directed", directed
+
+
+@pytest.mark.parametrize("host", [pytest.param(g, id=name) for name, g in _test_set_hosts()])
+@pytest.mark.parametrize("label_filter", [None, NORMAL, ANOMALOUS])
+def test_sample_vertices_equal_vertex_at_a_time_loop(host, label_filter):
+    n = host.vertex_count
+    # the last two requests run out of budget: more vertices than qualify,
+    # and a bar no vertex clears
+    for min_friends, size, seed in [(0, 1, 0), (1, 40, 1), (2, 25, 2), (3, 10, 3),
+                                    (3, n, 4), (n, 2, 5)]:
+        for fresh in (True, False):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if not fresh:  # a live generator part-way through its stream
+                ours.random(3, dtype=np.float32)
+                theirs.random(3, dtype=np.float32)
+            got = _test_set_or_error(sample_test_vertices, host, size, label_filter,
+                                     min_friends, ours)
+            assert got == _test_set_or_error(inspected_vertices_loop, host, size, label_filter,
+                                             min_friends, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            if not isinstance(got, str):  # plain ints, as the loop's are
+                selected, edges, labels = got
+                values = [*selected, *(w for e in edges for w in e), *labels.values()]
+                assert {type(x) for x in values} == {int}
 
 
 # -- build_link_training_set -----------------------------------------------------
