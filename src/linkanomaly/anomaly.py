@@ -9,6 +9,7 @@ many improbable edges floats to the top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ META_FEATURE_NAMES = (
 DIRECTION_MODES = ("out", "in", "all")
 RANK_ORDERS = ("desc", "asc")
 
+_meta_values = attrgetter(*META_FEATURE_NAMES)
+
 
 @dataclass(frozen=True)
 class VertexAnomalyProfile:
@@ -49,7 +52,7 @@ class VertexAnomalyProfile:
         return float(getattr(self, name))
 
     def as_row(self) -> np.ndarray:
-        return np.array([self.value(name) for name in META_FEATURE_NAMES])
+        return np.array(_meta_values(self), dtype=np.float64)
 
 
 def _score_edges(forest: LinkForest, g: Graph, vertices: Sequence[int], mode: str
@@ -86,6 +89,11 @@ def edge_probabilities(forest: LinkForest, g: Graph, v: int,
     return list(zip(nbrs.tolist(), probs.tolist()))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < 1:
+        raise ParameterError(f"threshold must be in (0, 1), got {threshold}")
+
+
 def vertex_profile(ep: Sequence[float], threshold: float, v: int,
                    edge_count: int | None = None) -> VertexAnomalyProfile:
     """All seven meta-features from a vertex's edge-score list.
@@ -98,8 +106,7 @@ def vertex_profile(ep: Sequence[float], threshold: float, v: int,
     values = np.asarray(ep, dtype=np.float64)
     if values.size == 0:
         raise EmptyNeighborhoodError(f"vertex {v} has an empty edge-probability set")
-    if not 0 < threshold < 1:
-        raise ParameterError(f"threshold must be in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     if edge_count is None:
         edge_count = values.size
     labels = (values >= threshold).astype(np.float64)
@@ -123,19 +130,32 @@ def profile_vertices(forest: LinkForest, g: Graph, vertices: Iterable[int],
 
     Vertices with no edges in the chosen mode cannot be profiled; they are
     returned in the second list instead of failing the batch.  The edges of
-    all other vertices are scored in one batch.
+    all other vertices are scored in one batch, and the statistics of all
+    vertices with d edges come from one (vertices, d) block along axis 1.
+    Each row of a C-contiguous block is reduced in the same pairwise order
+    as a 1-D call on that slice, so every value equals `vertex_profile`'s.
     """
-    view = mode if g.directed else "all"
-    kept, skipped = [], []
-    for v in vertices:
-        v = int(v)
-        (kept if g.degree(v, view) else skipped).append(v)
-    if not kept:
-        return [], skipped
-    counts, _, probs = _score_edges(forest, g, kept, mode)
-    ends = np.cumsum(counts).tolist()
-    profiles = [vertex_profile(probs[end - deg:end], threshold, v, deg)
-                for v, deg, end in zip(kept, counts.tolist(), ends)]
+    _check_threshold(threshold)
+    ids = np.array([int(v) for v in vertices], dtype=np.int64)
+    counts, _, probs = _score_edges(forest, g, ids, mode)
+    has_edges = counts > 0
+    kept, counts, skipped = ids[has_edges], counts[has_edges], ids[~has_edges].tolist()
+    starts = np.cumsum(counts) - counts
+    stats = np.empty((len(kept), len(META_FEATURE_NAMES)))
+    for d in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == d)
+        block = probs[starts[rows, None] + np.arange(d)]
+        labels = (block >= threshold).astype(np.float64)
+        label_sums = labels.sum(axis=1)
+        ordered = np.sort(block, axis=1)  # np.median's mean of the middle one or two
+        stats[rows] = np.column_stack((
+            block.mean(axis=1), block.std(axis=1), label_sums, label_sums / d,
+            labels.std(axis=1), (ordered[:, (d - 1) // 2] + ordered[:, d // 2]) / 2,
+            np.full(len(rows), d)))
+    profiles = [VertexAnomalyProfile(v, mean, std, int(label_sum), label_mean, label_std,
+                                     median, int(d))
+                for v, (mean, std, label_sum, label_mean, label_std, median, d)
+                in zip(kept.tolist(), stats.tolist())]
     return profiles, skipped
 
 
@@ -144,11 +164,14 @@ def rank_vertices(profiles: Sequence[VertexAnomalyProfile], by: str,
     """Vertex ids sorted by one meta-feature; ties break by id ascending.
 
     Descending order puts the most anomalous first for probability-like
-    features.
+    features.  A NaN value has no place in this order; profiles read from
+    a file cannot hold one (`io.load_profiles_csv` rejects it).
     """
     if by not in META_FEATURE_NAMES:
         raise ParameterError(f"unknown meta-feature {by!r}; expected one of {META_FEATURE_NAMES}")
     if order not in RANK_ORDERS:
         raise ParameterError(f"order must be one of {RANK_ORDERS}, got {order!r}")
     sign = -1.0 if order == "desc" else 1.0
-    return [p.vertex for p in sorted(profiles, key=lambda p: (sign * p.value(by), p.vertex))]
+    ids = np.array([p.vertex for p in profiles], dtype=np.int64)
+    values = np.array([getattr(p, by) for p in profiles], dtype=np.float64)
+    return ids[np.lexsort((ids, sign * values))].tolist()

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -111,12 +113,16 @@ def write_profiles_csv(path, profiles: Iterable[VertexAnomalyProfile], g: Graph)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["vertex", *META_FEATURE_NAMES])
-        for p in profiles:
-            out.writerow([names[p.vertex]] + [repr(p.value(f)) for f in META_FEATURE_NAMES])
+        fields = attrgetter("vertex", *META_FEATURE_NAMES)
+        out.writerows([names[v], *(repr(float(x)) for x in values)]
+                      for v, *values in map(fields, profiles))
 
 
 def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
-    """Read profiles back; vertex ids become row indices (file order)."""
+    """Read profiles back; vertex ids become row indices (file order).
+
+    Every value must be finite, and the two count columns whole numbers.
+    """
     expected = ["vertex", *META_FEATURE_NAMES]
     entries = []
     with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
@@ -133,10 +139,12 @@ def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
                 values = [float(x) for x in row[1:]]
             except ValueError as e:
                 raise ParseError(f"{path}:{i + 2}: {e}") from None
-            for j in (2, 6):
-                if not values[j].is_integer():
-                    raise ParseError(f"{path}:{i + 2}: {META_FEATURE_NAMES[j]} must be a whole"
-                                     f" number, got {row[j + 1]!r}")
+            for j, x in enumerate(values):
+                whole = j in (2, 6)
+                if not (x.is_integer() if whole else math.isfinite(x)):
+                    kind = "a whole number" if whole else "finite"
+                    raise ParseError(f"{path}:{i + 2}: {META_FEATURE_NAMES[j]} must be {kind},"
+                                     f" got {row[j + 1]!r}")
             entries.append((row[0], VertexAnomalyProfile(
                 vertex=i,
                 abnormality_probability=values[0],

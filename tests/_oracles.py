@@ -456,3 +456,29 @@ def grow_tree_reference(X, y, params, mtry, rng):
         stack.append((rid, idx[~go_left], depth + 1))
         stack.append((lid, idx[go_left], depth + 1))
     return tuple(list(column) for column in zip(*nodes))
+
+
+def profile_vertices_loop(forest, g, vertices, threshold, mode):
+    """(profiles, skipped) with one `vertex_profile` call per vertex."""
+    import numpy as np
+
+    from linkanomaly.anomaly import _score_edges, vertex_profile
+
+    view = mode if g.directed else "all"
+    kept, skipped = [], []
+    for v in vertices:
+        v = int(v)
+        (kept if g.degree(v, view) else skipped).append(v)
+    if not kept:
+        return [], skipped
+    counts, _, probs = _score_edges(forest, g, kept, mode)
+    ends = np.cumsum(counts).tolist()
+    profiles = [vertex_profile(probs[end - deg:end], threshold, v, deg)
+                for v, deg, end in zip(kept, counts.tolist(), ends)]
+    return profiles, skipped
+
+
+def rank_vertices_sorted(profiles, by, order):
+    """Vertex ids by one meta-feature through `sorted`, ties by id ascending."""
+    sign = -1.0 if order == "desc" else 1.0
+    return [p.vertex for p in sorted(profiles, key=lambda p: (sign * p.value(by), p.vertex))]

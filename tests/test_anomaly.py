@@ -9,7 +9,7 @@ from linkanomaly.anomaly import META_FEATURE_NAMES
 from linkanomaly.errors import (EmptyNeighborhoodError, ParameterError,
                                 ShapeError)
 
-from _oracles import meta_features
+from _oracles import meta_features, profile_vertices_loop, rank_vertices_sorted
 
 
 def _constant_forest(value=0.5, n_features=7):
@@ -244,3 +244,94 @@ def test_profile_vertices_batch_equals_per_vertex(directed, mode):
         for name in META_FEATURE_NAMES:
             assert p.value(name) == expected.value(name), (p.vertex, name)
     assert len({p.abnormality_probability for p in profiles}) > 3
+
+
+# hub degrees spanning numpy's pairwise-sum regimes: under 8 terms, one
+# unrolled block of up to 128, one split, and several levels of splits
+HUB_DEGREES = (1, 2, 5, 7, 8, 9, 16, 17, 100, 127, 128, 129, 130, 200, 255, 256, 257,
+               300, 1000, 1100)
+DEGREE_RANGES = ((1, 7), (8, 128), (129, 256), (257, 10**6))
+
+
+def _hub_host(directed):
+    """Hubs with out- and in-degrees from HUB_DEGREES over random leaves.
+
+    The last ten ids have no edges at all; in directed graphs, leaves that
+    only receive edges have no out-edges.
+    """
+    from linkanomaly.graph import Graph
+
+    rng = np.random.default_rng(41 + directed)
+    hubs, leaves, n = len(HUB_DEGREES), 1200, len(HUB_DEGREES) + 1200 + 10
+    src, dst = [], []
+    for h, (d_out, d_in) in enumerate(zip(HUB_DEGREES, reversed(HUB_DEGREES))):
+        src += [h] * d_out
+        dst += (hubs + rng.choice(leaves, d_out, replace=False)).tolist()
+        src += (hubs + rng.choice(leaves, d_in, replace=False)).tolist()
+        dst += [h] * d_in
+    src += (hubs + rng.integers(0, leaves // 2, 1500)).tolist()
+    dst += (hubs + rng.integers(0, leaves, 1500)).tolist()
+    src, dst = np.array(src), np.array(dst)
+    keep = src != dst
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    key = np.unique(src[keep] * n + dst[keep])
+    return Graph([f"v{i:04d}" for i in range(n)], np.column_stack([key // n, key % n]),
+                 directed)
+
+
+class _RandomScores:
+    """Forest stand-in: seeded uniform scores, or quarters when `coarse`.
+
+    Scores follow the edge's position in the batch, so quarters tie many
+    vertices' statistics and ranked values.
+    """
+
+    feature_names = None
+
+    def __init__(self, coarse):
+        self.coarse = coarse
+
+    def predict_proba_many(self, X):
+        p = np.random.default_rng(len(X)).random(len(X))
+        return np.round(p * 4) / 4 if self.coarse else p
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+@pytest.mark.parametrize("directed, mode", [(False, "out"), (True, "out"), (True, "in"),
+                                            (True, "all")])
+def test_profile_vertices_and_ranking_are_bit_identical_to_loops(directed, mode, coarse):
+    g = _hub_host(directed)
+    forest = _RandomScores(coarse)
+    rng = np.random.default_rng(7)
+    n = g.vertex_count
+    hubs = list(range(len(HUB_DEGREES)))
+    vertices = hubs + rng.integers(0, n, 400).tolist() + [n - 1, n - 2, hubs[-1], hubs[3]]
+    rng.shuffle(vertices)
+    profiles, skipped = profile_vertices(forest, g, vertices, threshold=0.6, mode=mode)
+    expected, expected_skipped = profile_vertices_loop(forest, g, vertices, 0.6, mode)
+    assert skipped == expected_skipped and n - 1 in skipped
+    assert profiles == expected  # dataclass ==: every field, float values by ==
+    counts = {p.edge_count for p in profiles}
+    assert all(any(lo <= d <= hi for d in counts) for lo, hi in DEGREE_RANGES)
+    means = [p.abnormality_probability for p in profiles]
+    assert len(set(means)) < len(means) if coarse else len(set(means)) > 100
+    for by in META_FEATURE_NAMES:
+        for order in ("desc", "asc"):
+            assert (rank_vertices(profiles, by, order)
+                    == rank_vertices_sorted(profiles, by, order)), (by, order)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"threshold": 1.5}, "threshold must be in"),
+    ({"threshold": float("nan")}, "threshold must be in"),
+    ({"mode": "bogus"}, "direction mode must be one of"),
+])
+def test_profile_vertices_checks_arguments_without_edges(kwargs, message):
+    g = build_graph([("a", "b")], directed=True)
+    f = _constant_forest(n_features=16)
+    assert profile_vertices(f, g, [g.id_of("b")]) == ([], [g.id_of("b")])
+    with pytest.raises(ParameterError, match=message):
+        profile_vertices(f, g, [g.id_of("b")], **kwargs)
+    with pytest.raises(ParameterError, match=message):
+        profile_vertices(f, g, [], **kwargs)

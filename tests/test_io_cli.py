@@ -1,20 +1,25 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from linkanomaly import generate_ba
-from linkanomaly.anomaly import META_FEATURE_NAMES
+from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyProfile
 from linkanomaly.cli import main
 from linkanomaly.config import ExperimentConfig
 from linkanomaly.errors import ParseError
 from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv,
-                            write_edge_list, write_labels)
+                            write_edge_list, write_labels, write_profiles_csv)
 
 from _oracles import edge_list_loop
 
@@ -361,6 +366,122 @@ def test_profiles_whole_number_columns_reject_other_values(tmp_path, column, val
         load_profiles_csv(path)
     assert main(["-q", "rank", "--profiles", str(path)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "0", "nan"])
+def test_cli_score_checks_threshold_when_no_vertex_has_edges(tmp_path, threshold, capsys):
+    graph, model = tmp_path / "g.csv", tmp_path / "model.json"
+    vertices, out = tmp_path / "vertices.txt", tmp_path / "p.csv"
+    assert main(["-q", "generate", "--n", "150", "--m", "2", "--seed", "4",
+                 "--out", str(graph)]) == 0
+    assert main(["-q", "train-link", "--graph", str(graph), "--directed", "--size", "40",
+                 "--trees", "3", "--model-out", str(model)]) == 0
+    g = load_edge_list(graph, directed=True)
+    sinks = [name for v, name in enumerate(g.names) if g.degree(v, "out") == 0]
+    assert sinks
+    vertices.write_text("\n".join(sinks) + "\n")
+    argv = ["-q", "score", "--graph", str(graph), "--directed", "--model", str(model),
+            "--vertices", str(vertices), "--out", str(out)]
+    assert main(argv) == 0 and out.read_text().count("\n") == 1  # header only
+    out.unlink()
+    assert main([*argv, "--threshold", threshold]) == 1
+    assert "threshold must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+PROBABILITY_COLUMNS = [name for name in META_FEATURE_NAMES
+                       if name not in ("sum_edge_label", "edge_count")]
+
+
+@pytest.mark.parametrize("column", PROBABILITY_COLUMNS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_profiles_probability_columns_reject_non_finite_values(tmp_path, column, value, capsys):
+    path = tmp_path / "profiles.csv"
+    rows = [{**dict.fromkeys(META_FEATURE_NAMES, x), "sum_edge_label": "1", "edge_count": "2"}
+            for x in ("0.3", "0.9", "0.5")]
+    rows[1][column] = value
+    path.write_text(f"vertex,{','.join(META_FEATURE_NAMES)}\n" + "".join(
+        f"{name},{','.join(row[c] for c in META_FEATURE_NAMES)}\n"
+        for name, row in zip("abc", rows)))
+    with pytest.raises(ParseError, match=f":3: {column} must be finite, got '{value}'"):
+        load_profiles_csv(path)
+    assert main(["-q", "rank", "--profiles", str(path), "--by", column]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+_NAMES = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                 min_size=1, max_size=4)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COUNT = st.integers(-2**53, 2**53)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(_NAMES, _FINITE, _FINITE, _COUNT, _FINITE, _FINITE, _FINITE,
+                               _COUNT), max_size=5))
+def test_profiles_csv_round_trips_every_finite_value(tmp_path, rows):
+    profiles = [VertexAnomalyProfile(i, *values) for i, (_, *values) in enumerate(rows)]
+    path = tmp_path / "profiles.csv"
+    write_profiles_csv(path, profiles, SimpleNamespace(names=[name for name, *_ in rows]))
+    loaded = load_profiles_csv(path)
+    # repr tells -0.0 from 0.0 and shows every bit of a float
+    assert [(name, repr(p)) for name, p in loaded] == [
+        (name, repr(p)) for (name, *_), p in zip(rows, profiles)]
+
+
+_NUMBER = st.one_of(st.sampled_from(["0.5", "0.25", "1", "-0.0"]), _FINITE.map(repr))
+_WHOLE = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["2.0", "1e3"]))
+_ODD = st.one_of(st.sampled_from(["nan", "inf", "-inf"]),
+                 st.sampled_from(["x", "", "2.5", "1e400", "0.5,"]))
+
+
+@st.composite
+def _rank_case(draw):
+    """(profiles text, --by column): the header and rows with at most one odd
+    field, often in the ranked column, or any text."""
+    by = draw(st.sampled_from(META_FEATURE_NAMES))
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40)), by
+    header = draw(st.sampled_from([["vertex", *META_FEATURE_NAMES], ["vertex", "x"]]))
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 6))):
+        fields = [draw(_WHOLE if name in ("sum_edge_label", "edge_count") else _NUMBER)
+                  for name in META_FEATURE_NAMES]
+        odd = draw(st.sampled_from(["none", "ranked", "any"]))
+        if odd != "none":
+            column = (META_FEATURE_NAMES.index(by) if odd == "ranked"
+                      else draw(st.integers(0, len(fields) - 1)))
+            fields[column] = draw(_ODD)
+        lines.append(",".join([f"r{i}", *fields]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), by
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_rank_case(), order=st.sampled_from(RANK_ORDERS),
+       top=st.one_of(st.none(), st.integers(-1, 3)))
+def test_cli_rank_on_any_profiles_text(tmp_path, case, order, top):
+    text, by = case
+    path = tmp_path / "profiles.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = ["-q", "rank", "--profiles", str(path), "--by", by, "--order", order]
+    argv += [] if top is None else ["--top", str(top)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        entries = load_profiles_csv(path)
+        sign = -1.0 if order == "desc" else 1.0
+        ranked = sorted(range(len(entries)),
+                        key=lambda i: (sign * getattr(entries[i][1], by), i))
+        # ordered per --order, ties in file-row order; a NaN compares false both ways
+        keys = [(sign * getattr(entries[i][1], by), i) for i in ranked]
+        assert all(a[0] < b[0] or (a[0] == b[0] and a[1] < b[1])
+                   for a, b in zip(keys, keys[1:]))
+        lines = [f"{entries[i][0]},{float(getattr(entries[i][1], by))!r}"
+                 for i in ranked[:top]]
+        assert out.getvalue() == "".join(f"{line}\n" for line in [f"vertex,{by}", *lines])
 
 
 def test_cli_train_link_defaults_are_the_experiment_forest(tmp_path, score_inputs):
