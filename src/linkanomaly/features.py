@@ -6,7 +6,9 @@ identical at train and predict time; `extract_edge_features` defines each
 one.  It computes one pair from the sorted neighbor slices of its two
 vertices and is the reference; `extract_feature_matrix`, which every
 pipeline stage calls, computes a whole batch with array operations and
-gives the same bits, row for row.
+gives the same bits, row for row.  The batch finds each pair's shared
+neighbors once, in the all-view, and takes the directed counts (in/in,
+out/out, bi/bi, out/in) from that set: Γ_in and Γ_out are subsets of Γ.
 """
 
 from __future__ import annotations
@@ -136,23 +138,22 @@ def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
     ], dtype=np.float64))
 
 
-def _shared(g: Graph, degrees: dict, mode_v: str, mode_u: str,
-            v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pair index, w) for every w in Γ_mode_v(v[i]) ∩ Γ_mode_u(u[i]).
+def _shared(g: Graph, degs: np.ndarray, v: np.ndarray, u: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(pair index, w) for every w in Γ(v[i]) ∩ Γ(u[i]), the all-view shared set.
 
     Each pair gathers the smaller of its two neighbor slices (gathering both
     would cost the hubs' degrees on hub-heavy pair sets) and asks the graph
-    whether each w is adjacent to the other endpoint in the other view.
-    Within a pair the w ascend.  `degrees` maps a mode to its degree array.
+    whether each w is adjacent to the other endpoint.  Within a pair the w
+    ascend.  `degs` is the all-view degree array.
     """
-    from_v = degrees[mode_v][v] <= degrees[mode_u][u]
+    from_v = degs[v] <= degs[u]
     pid, shared = [], []
-    for take, mode, rows, other, other_mode in ((from_v, mode_v, v, u, mode_u),
-                                                (~from_v, mode_u, u, v, mode_v)):
+    for take, rows, other in ((from_v, v, u), (~from_v, u, v)):
         idx = np.flatnonzero(take)
-        counts, w = g.gather_neighbors(rows[idx], mode)
+        counts, w = g.gather_neighbors(rows[idx], "all")
         p = np.repeat(idx, counts)
-        hit = g.adjacent(other[p], w, other_mode)
+        hit = g.adjacent(other[p], w, "all")
         pid.append(p[hit])
         shared.append(w[hit])
     return np.concatenate(pid), np.concatenate(shared)
@@ -181,8 +182,11 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
     """(n_pairs, n_features) matrix; row i is extract_edge_features(pairs[i]).
 
     `pairs` is a sequence of (v, u) pairs or an (n, 2) id array.  All pairs
-    are computed together: each common-neighbor count is one batched
-    :meth:`Graph.adjacent` lookup of gathered neighbor ids (see `_shared`).
+    are computed together from their all-view shared neighbors, found by one
+    batched :meth:`Graph.adjacent` lookup of gathered neighbor ids (see
+    `_shared`).  Γ_in and Γ_out are subsets of Γ, so every directed common
+    neighbor is among them: the four directed counts come from four lookups
+    of the shared w, whether w is in Γ_in and Γ_out of v and of u.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     v, u = pairs[:, 0], pairs[:, 1]
@@ -194,14 +198,8 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
     if m == 0:
         return np.empty((0, len(feature_names(g.directed))))
 
-    modes = ("all", "in", "out", "bi") if g.directed else ("all",)
-    degrees = {mode: g.degrees(mode) for mode in modes}
-
-    def count(mode_v: str, mode_u: str) -> np.ndarray:
-        return np.bincount(_shared(g, degrees, mode_v, mode_u, v, u)[0], minlength=m)
-
-    degs = degrees["all"]
-    pid, w = _shared(g, degrees, "all", "all", v, u)
+    degs = g.degrees("all")
+    pid, w = _shared(g, degs, v, u)
     inter = np.bincount(pid, minlength=m)
     union = degs[v] + degs[u] - inter
     jaccard = np.divide(inter, union, out=np.zeros(m), where=union > 0)
@@ -213,13 +211,21 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
                                 _adamic_adar_sums(degs, pid, w, inter),
                                 wv + wu, wv * wu])
 
+    pv, pu = v[pid], u[pid]
+    in_v, out_v = g.adjacent(pv, w, "in"), g.adjacent(pv, w, "out")
+    in_u, out_u = g.adjacent(pu, w, "in"), g.adjacent(pu, w, "out")
+
+    def count(mask: np.ndarray) -> np.ndarray:
+        return np.bincount(pid[mask], minlength=m)
+
+    both_in, both_out = in_v & in_u, out_v & out_u
     opposite = g.adjacent(u, v, "out")
-    w_in = 1.0 / np.sqrt(1.0 + degrees["in"])
-    w_out = 1.0 / np.sqrt(1.0 + degrees["out"])
+    w_in = 1.0 / np.sqrt(1.0 + g.degrees("in"))
+    w_out = 1.0 / np.sqrt(1.0 + g.degrees("out"))
     wiv, wov, wiu, wou = w_in[v], w_out[v], w_in[u], w_out[u]
     return np.column_stack([
-        union, count("in", "in"), count("out", "out"), count("bi", "bi"),
-        jaccard, pref, count("out", "in"), opposite,
+        union, count(both_in), count(both_out), count(both_in & both_out),
+        jaccard, pref, count(out_v & in_u), opposite,
         wiv + wiu, wiv + wou, wov + wiu, wov + wou,
         wiv * wiu, wiv * wou, wov * wiu, wov * wou,
     ])

@@ -86,15 +86,28 @@ class _Tree:
     count0: np.ndarray
     count1: np.ndarray
 
-    def leaf_fraction(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int64)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            cur = node[idx]
-            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[node[idx]] >= 0
+    def leaf_fraction(self, XT: np.ndarray) -> np.ndarray:
+        """Positive fraction of the leaf that each row reaches.
+
+        `XT` is the C-contiguous (features, rows) transpose of X.  The walk
+        keeps only the rows still at an internal node: it reads each one's
+        split value at the flat offset `feature * rows + row`, and its next
+        node at `2 * node + go_left` of the interleaved (right, left) pairs.
+        """
+        n = XT.shape[1]
+        flat = XT.reshape(-1)
+        feature = self.feature.astype(np.intp)
+        offset = feature * n
+        child = np.column_stack([self.right, self.left]).astype(np.intp).ravel()
+        node = np.zeros(n, dtype=np.intp)
+        idx = np.arange(n) if feature[0] >= 0 else node[:0]
+        cur = node[idx]
+        while len(idx):
+            go_left = flat.take(offset.take(cur) + idx) <= self.threshold.take(cur)
+            nxt = child.take(2 * cur + go_left)
+            node[idx] = nxt
+            keep = np.flatnonzero(feature.take(nxt) >= 0)
+            idx, cur = idx.take(keep), nxt.take(keep)
         c0 = self.count0[node].astype(np.float64)
         c1 = self.count1[node].astype(np.float64)
         return c1 / (c0 + c1)
@@ -207,9 +220,10 @@ class LinkForest:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ShapeError(f"expected (n, {self.n_features}) feature matrix, got {X.shape}")
+        XT = np.ascontiguousarray(X.T)
         acc = np.zeros(len(X))
         for tree in self.trees:
-            acc += tree.leaf_fraction(X)
+            acc += tree.leaf_fraction(XT)
         return acc / len(self.trees)
 
     # -- persistence ----------------------------------------------------

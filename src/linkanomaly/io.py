@@ -66,11 +66,21 @@ def write_edge_list(g: Graph, path, comment: str | None = None) -> None:
             fh.write(f"{names[a]},{names[b]}\n")
 
 
+def _csv_rows(fh, path):
+    """The rows of a CSV file, with a `csv.Error` (such as a field over the
+    csv module's size limit) raised as a ParseError naming the line."""
+    rows = csv.reader(fh)
+    try:
+        yield from rows
+    except csv.Error as e:
+        raise ParseError(f"{path}:{rows.line_num}: {e}") from None
+
+
 def load_labels(path) -> dict[str, int]:
     """Parse a `vertex,label` CSV; vertices absent from it default to normal."""
     labels: dict[str, int] = {}
     with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
+        rows = _csv_rows(fh, path)
         header = next(rows, None)
         if header is None or [h.strip().lower() for h in header] != ["vertex", "label"]:
             raise ParseError(f"{path}: expected header 'vertex,label', got {header}")
@@ -126,7 +136,7 @@ def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
     expected = ["vertex", *META_FEATURE_NAMES]
     entries = []
     with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
+        rows = _csv_rows(fh, path)
         header = next(rows, None)
         if header != expected:
             raise ParseError(f"{path}: expected header {','.join(expected)!r}")

@@ -482,3 +482,30 @@ def rank_vertices_sorted(profiles, by, order):
     """Vertex ids by one meta-feature through `sorted`, ties by id ascending."""
     sign = -1.0 if order == "desc" else 1.0
     return [p.vertex for p in sorted(profiles, key=lambda p: (sign * p.value(by), p.vertex))]
+
+
+# -- forest predict --------------------------------------------------------------
+#
+# The walk `_Tree.leaf_fraction` replaced: a full-length active mask, and a
+# 2-D fancy index of row-major X at every level.
+
+
+def predict_proba_loop(forest, X):
+    """Vote fraction per row: each tree walked over row-major X, summed in tree order."""
+    import numpy as np
+
+    X = np.asarray(X, dtype=np.float64)
+    acc = np.zeros(len(X))
+    for tree in forest.trees:
+        node = np.zeros(len(X), dtype=np.int64)
+        active = tree.feature[node] >= 0
+        while np.any(active):
+            idx = np.flatnonzero(active)
+            cur = node[idx]
+            go_left = X[idx, tree.feature[cur]] <= tree.threshold[cur]
+            node[idx] = np.where(go_left, tree.left[cur], tree.right[cur])
+            active[idx] = tree.feature[node[idx]] >= 0
+        c0 = tree.count0[node].astype(np.float64)
+        c1 = tree.count1[node].astype(np.float64)
+        acc += c1 / (c0 + c1)
+    return acc / len(forest.trees)

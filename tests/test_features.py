@@ -352,3 +352,32 @@ def test_feature_matrix_rejects_bad_pairs_like_the_pairwise_path(directed, bad, 
         extract_edge_features(g, *bad)
     with pytest.raises(error):
         extract_feature_matrix(g, [(0, 1), bad, (1, 2)])
+
+
+DIRECTED_COUNTS = ("common_friends_in", "common_friends_out", "common_friends_bi",
+                   "transitive_friends")
+
+
+def test_directed_counts_where_the_shared_neighbor_goes_one_way():
+    # each pair shares neighbors joined to it one way only, so each count
+    # tells in from out: a -> i1, u1 (in/in); o1, u2 -> b (out/out);
+    # t1 -> c -> u3 (out/in); u4 -> d -> s1 (in/out, counted by none);
+    # r1 <-> e <-> u5 (all four).  h and k share all five kinds.
+    edges = [("a", "i1"), ("a", "u1"), ("o1", "b"), ("u2", "b"), ("t1", "c"), ("c", "u3"),
+             ("u4", "d"), ("d", "s1"), ("r1", "e"), ("e", "r1"), ("u5", "e"), ("e", "u5")]
+    edges += [("A", "h"), ("A", "k"), ("h", "B"), ("k", "B"), ("h", "C"), ("C", "k"),
+              ("k", "D"), ("D", "h"), ("h", "E"), ("E", "h"), ("k", "E"), ("E", "k")]
+    g = build_graph(edges, directed=True)
+    expected = {  # (v, u): in/in, out/out, bi/bi, out/in
+        ("i1", "u1"): (1, 0, 0, 0), ("o1", "u2"): (0, 1, 0, 0),
+        ("t1", "u3"): (0, 0, 0, 1), ("u3", "t1"): (0, 0, 0, 0),
+        ("s1", "u4"): (0, 0, 0, 0), ("r1", "u5"): (1, 1, 1, 1),
+        ("h", "k"): (2, 2, 1, 2), ("k", "h"): (2, 2, 1, 2),
+    }
+    pairs = [(g.id_of(v), g.id_of(u)) for v, u in expected]
+    X = extract_feature_matrix(g, pairs)
+    columns = [FEATURE_NAMES_DIRECTED.index(name) for name in DIRECTED_COUNTS]
+    assert [tuple(row) for row in X[:, columns].astype(int).tolist()] == list(expected.values())
+    jaccard = FEATURE_NAMES_DIRECTED.index("jaccard")
+    assert (X[:, jaccard] > 0).all()  # every pair shares an all-view neighbor
+    assert X.tobytes() == _stacked(g, pairs).tobytes()

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 
@@ -8,7 +9,7 @@ from linkanomaly import ForestParams, LinkForest, TrainingExample, forest, train
 from linkanomaly.errors import DegenerateTrainingError, ParameterError, ShapeError
 from linkanomaly.rng import generator
 
-from _oracles import grow_tree_reference
+from _oracles import grow_tree_reference, predict_proba_loop
 
 
 def _examples(X, y):
@@ -233,6 +234,59 @@ def test_grow_tree_equals_per_feature_argsort_engine(variant):
         reference = grow_tree_reference(X, y, params, mtry, generator((3, 4), t))
         ours = tuple(getattr(tree, name).tolist() for name, _ in forest._NODE_ARRAYS)
         assert ours == reference
+
+
+# -- predict -------------------------------------------------------------------------
+
+
+def _layouts(X):
+    """X as 0 rows, 1 row, C order, Fortran order and two strided slices."""
+    wide = np.repeat(X, 2, axis=1)
+    return [X[:0], X[:1], X, np.asfortranarray(X), X[::3], wide[:, ::2]]
+
+
+@pytest.mark.parametrize("d", [7, 16])
+@pytest.mark.parametrize("tree_count", [1, 30])
+def test_predict_equals_per_tree_walk_over_row_major_X(d, tree_count):
+    rng = np.random.default_rng(d)
+    X = np.round(rng.normal(size=(500, d)), 1)
+    y = (X[:, 0] + X[:, 1] * X[:, d - 1] + rng.normal(size=500) > 0).astype(int)
+    f = train_forest(None, ForestParams(tree_count=tree_count), seed=(d, tree_count), X=X, y=y)
+    # rows on the thresholds themselves check that ties go left
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in f.trees])
+    probe = np.vstack([X[:200], rng.normal(size=(100, d)),
+                       rng.choice(thresholds, size=(100, d))])
+    for layout in _layouts(probe):
+        got = f.predict_proba_many(layout)
+        assert got.shape == (len(layout),)
+        assert got.tobytes() == predict_proba_loop(f, layout).tobytes()
+
+
+def test_predict_loaded_forest_with_scattered_children(tmp_path):
+    # right child before left, unreached nodes between; a one-leaf second tree
+    tree = {"feature": [1, -1, 0, -1, 0, -1, -1, 1, -1, -1],
+            "threshold": [0.5, 0.0, -1.0, 0.0, 2.0, 0.0, 0.0, -0.25, 0.0, 0.0],
+            "left": [4, -1, 6, -1, 7, -1, -1, 9, -1, -1],
+            "right": [2, -1, 3, -1, 5, -1, -1, 8, -1, -1],
+            "count0": [9, 1, 6, 1, 5, 2, 5, 3, 0, 3],
+            "count1": [6, 1, 3, 3, 7, 2, 0, 5, 4, 1]}
+    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+            "count0": [2], "count1": [3]}
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps({
+        "format": forest.FOREST_FORMAT, "version": forest.FOREST_VERSION, "n_features": 2,
+        "feature_names": None, "seed": [1], "trees": [tree, leaf],
+        "params": {"tree_count": 2, "features_per_split": None, "min_leaf_size": 1,
+                   "max_depth": None}}))
+    f = LinkForest.load(path)
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [-1.0, 1.0], [0.0, -0.25],
+                  [2.0, -0.25]])
+    # leaves reached: 8, 3, 5, 6, 9 and 9 (ties go left), each averaged with 3/5
+    assert f.predict_proba_many(X).tolist() == pytest.approx(
+        [(1.0 + 0.6) / 2, (0.75 + 0.6) / 2, (0.5 + 0.6) / 2, (0.0 + 0.6) / 2,
+         (0.25 + 0.6) / 2, (0.25 + 0.6) / 2])
+    for layout in _layouts(X):
+        assert f.predict_proba_many(layout).tobytes() == predict_proba_loop(f, layout).tobytes()
 
 
 def _failing_grow_tree(fail_tree, action):

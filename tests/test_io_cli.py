@@ -348,6 +348,26 @@ def test_cli_non_utf8_input_is_a_data_error(tmp_path, score_inputs, kind, capsys
     assert "data error" in err and f"{bad}: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("kind", ["profiles", "labels"])
+def test_cli_csv_field_over_the_csv_size_limit_is_a_data_error(tmp_path, score_inputs, kind,
+                                                               capsys):
+    graph, _, _ = score_inputs
+    name = "v" * 200_000  # the csv module refuses fields over 131,072 characters
+    bad = tmp_path / f"{kind}.csv"
+    if kind == "profiles":
+        bad.write_text(f"vertex,{','.join(META_FEATURE_NAMES)}\n{name},0.5,0.5,1,0.5,0.5,0.5,2\n")
+        argv = ["rank", "--profiles", str(bad)]
+    else:
+        bad.write_text(f"vertex,label\n{name},1\n")
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"graph_path = {graph}\nanomaly_source = provided\n"
+                          f"labels_path = {bad}\n")
+        argv = ["evaluate", "--config", str(config)]
+    assert main(["-q", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{bad}:2: field larger than field limit" in err
+
+
 @pytest.mark.parametrize("column", ["sum_edge_label", "edge_count"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "2.5"])
 def test_profiles_whole_number_columns_reject_other_values(tmp_path, column, value, capsys):
