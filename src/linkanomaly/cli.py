@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 from . import io
 from .anomaly import (DIRECTION_MODES, META_FEATURE_NAMES, RANK_ORDERS, profile_vertices,
@@ -118,6 +119,12 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # a missing output directory fails now, not after minutes of experiment
+    for flag, directory in (("--report-out", Path(args.report_out).parent),
+                            ("--pk-out", Path(args.pk_out).parent),
+                            ("--audit-dir", Path(args.audit_dir or "."))):
+        if not directory.is_dir():
+            raise _UsageError(f"{flag}: no directory {str(directory)!r}")
     overrides = {}
     for item in args.set or []:
         if "=" not in item:

@@ -283,9 +283,9 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
             # (hub neighbors stay trainable); "endpoints" is the stricter
             # variant that also drops every neighbor seen in the test edges
             if config.exclusion_mode == "endpoints":
-                excluded = pos.vertices | neg.vertices
+                excluded = np.union1d(pos.vertices, neg.vertices)
             else:
-                excluded = set(pos.selected) | set(neg.selected)
+                excluded = pos.selected + neg.selected
             per_class = config.link_train_size_per_class + config.link_holdout_per_class
             examples = build_link_training_set(g, excluded, per_class,
                                                (run_seed, _S_LINK_TRAIN))

@@ -1,16 +1,19 @@
 """Immutable graph with four directional neighbor views over sorted edge keys.
 
-Vertex names are interned to dense integer ids (sorted name order for the
-public constructor, so the same edge multiset yields an identical graph in
-any input order).  Each neighbor view (all, in, out, bi) is one ascending
-int64 array of edge keys `row * n + col`, from which its CSR row offsets
-and sorted int32 neighbor ids are derived.  A neighbor query is a
-constant-time slice, and a batch of membership queries is one
+Vertex names are interned to dense integer ids (sorted name order for
+:func:`build_graph`, so the same edge multiset yields an identical graph in
+any input order).  The :class:`Graph` constructor is the one place that
+cleans id rows: it drops self-loops and duplicates, counting both, and puts
+undirected rows in (min, max) form.  Each neighbor view (all, in, out, bi)
+is one ascending int64 array of edge keys `row * n + col`, from which its
+CSR row offsets and sorted int32 neighbor ids are derived.  A neighbor
+query is a constant-time slice, and a batch of membership queries is one
 `np.searchsorted` over the keys (:meth:`Graph.adjacent`).
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,8 +43,8 @@ class _View(NamedTuple):
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an int64 array, ascending."""
-    keys = np.sort(keys)
+    """The distinct values of an int64 array, ascending; sorts `keys` in place."""
+    keys.sort()
     if len(keys):
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return keys
@@ -58,31 +61,39 @@ def _member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 class Graph:
     """Read-only graph over dense vertex ids `0..vertex_count-1`.
 
-    Not constructed directly; use :func:`build_graph`,
-    :func:`linkanomaly.io.load_edge_list`, or the generators in
-    :mod:`linkanomaly.sampling`.
+    `edges` is any (E, 2) array of ids.  The constructor drops self-loops
+    and repeated rows (a reversed row repeats an undirected edge), keeps
+    the counts in `dropped_self_loops` and `dropped_duplicates`, and stores
+    the rest sorted, undirected rows as (min, max).  Graphs from names come
+    from :func:`build_graph` or :func:`linkanomaly.io.load_edge_list`.
     """
 
     def __init__(self, names: Sequence[str], edges: np.ndarray, directed: bool,
-                 labels: np.ndarray | None = None,
-                 dropped_self_loops: int = 0, dropped_duplicates: int = 0):
+                 labels: np.ndarray | None = None):
         n = len(names)
         self._names = list(names)
         self._name_to_id = {name: i for i, name in enumerate(self._names)}
         if len(self._name_to_id) != n:
             raise ParameterError("vertex names are not unique")
         self.directed = bool(directed)
-        self.dropped_self_loops = dropped_self_loops
-        self.dropped_duplicates = dropped_duplicates
 
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges) and (edges.min() < 0 or edges.max() >= n):
             raise ParameterError(f"edge endpoints must be vertex ids in [0, {n})")
-        # canonical order: sorted by (u, v); assumed already deduplicated
         u, v = edges[:, 0], edges[:, 1]
-        out = np.sort(u * n + v)
+        keys = u * n + v
+        if not directed:
+            # a * n + b < b * n + a when a < b: the smaller key is the (min, max) row's
+            np.minimum(keys, v * n + u, out=keys)
+        keys = keys[u != v]
+        self.dropped_self_loops = len(edges) - len(keys)
+        # canonical order: sorted by (u, v), each row once
+        out = _sorted_unique(keys)
+        self.dropped_duplicates = len(keys) - len(out)
+        del keys  # not held while the views are built
         self._edges = np.column_stack([out // n, out % n])
         self._edges.setflags(write=False)
+        u, v = self._edges[:, 0], self._edges[:, 1]
 
         if directed:
             into = np.sort(v * n + u)
@@ -206,14 +217,16 @@ class Graph:
     # -- derived graphs -----------------------------------------------------
 
     def with_labels(self, labels_by_name: Mapping[str, int]) -> "Graph":
-        """Copy of this graph carrying labels; names absent from the map are normal."""
+        """Copy of this graph, sharing its edges and views, carrying labels;
+        names absent from the map are normal."""
         arr = np.zeros(self.vertex_count, dtype=np.int8)
         for name, label in labels_by_name.items():
             if name in self._name_to_id:
                 arr[self._name_to_id[name]] = label
-        return Graph(self._names, self._edges, self.directed, labels=arr,
-                     dropped_self_loops=self.dropped_self_loops,
-                     dropped_duplicates=self.dropped_duplicates)
+        arr.setflags(write=False)
+        out = copy.copy(self)
+        out._labels = arr
+        return out
 
     # -- equality (semantic, name-based) ------------------------------------
 
@@ -237,18 +250,6 @@ class Graph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Graph({kind}, |V|={self.vertex_count}, |E|={self.edge_count})"
-
-
-def _dedup_id_edges(ids: np.ndarray, n: int, directed: bool):
-    """Drop self-loops and duplicates; canonicalize undirected rows to (min, max)."""
-    loops = ids[:, 0] == ids[:, 1]
-    n_loops = int(np.count_nonzero(loops))
-    ids = ids[~loops]
-    if not directed:
-        ids = np.sort(ids, axis=1)
-    key = ids[:, 0] * n + ids[:, 1]
-    uniq = _sorted_unique(key)
-    return np.column_stack([uniq // n, uniq % n]), n_loops, len(key) - len(uniq)
 
 
 def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool) -> Graph:
@@ -280,5 +281,4 @@ def graph_from_endpoints(endpoints: Sequence[str], directed: bool) -> Graph:
     names = sorted(set(endpoints))
     index = dict(zip(names, range(len(names))))
     ids = np.fromiter(map(index.__getitem__, endpoints), dtype=np.int64, count=len(endpoints))
-    ids, n_loops, n_dups = _dedup_id_edges(ids.reshape(-1, 2), len(names), directed)
-    return Graph(names, ids, directed, dropped_self_loops=n_loops, dropped_duplicates=n_dups)
+    return Graph(names, ids.reshape(-1, 2), directed)

@@ -16,6 +16,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .anomaly import META_FEATURE_NAMES, VertexAnomalyProfile
 from .errors import ParseError, named_decode_error
 from .graph import Graph, graph_from_endpoints
@@ -197,8 +199,10 @@ def write_injection_record_csv(record: InjectionRecord, g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["vertex", "edge_count", "targets"])
-        for v, k, targets in zip(record.injected, record.edge_counts, record.targets):
-            out.writerow([names[v], k, " ".join(names[t] for t in targets)])
+        targets = record.targets.tolist()
+        ends = np.cumsum(record.edge_counts).tolist()
+        for v, k, end in zip(record.injected, record.edge_counts, ends):
+            out.writerow([names[v], k, " ".join(names[t] for t in targets[end - k:end])])
 
 
 def write_test_set_csv(pos: TestSet, neg: TestSet, g: Graph, path) -> None:
@@ -208,5 +212,5 @@ def write_test_set_csv(pos: TestSet, neg: TestSet, g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["vertex", "label", "selected"])
-        for v in sorted(pos.vertices | neg.vertices):
+        for v in np.union1d(pos.vertices, neg.vertices).tolist():
             out.writerow([names[v], g.label_of(v), int(v in selected)])

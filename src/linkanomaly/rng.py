@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Seed = "int | tuple[int, ...] | np.random.Generator"
-
 
 def seed_key(seed) -> tuple[int, ...]:
     """Normalize an int or int-sequence seed to a tuple of ints."""

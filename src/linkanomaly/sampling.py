@@ -7,9 +7,9 @@ Four pieces feed the pipeline:
 * `inject_anomalies` plants labeled fake vertices whose edge counts follow
   the host's empirical degree distribution and whose targets are uniform
   over the pre-injection vertex set;
-* `sample_test_vertices` draws the inspected vertices and their edges,
-  keeping only vertices observed well enough to judge (> min_friends
-  qualifying neighbors, each itself with > min_friends neighbors);
+* `sample_test_vertices` draws the inspected vertices, keeping only
+  vertices observed well enough to judge (> min_friends qualifying
+  neighbors, each itself with > min_friends neighbors);
 * `build_link_training_set` pairs existing edges (label 0) with uniformly
   drawn non-existing pairs (label 1), never touching the test vertices.
 
@@ -37,26 +37,22 @@ _BA_BLOCK = 256
 
 @dataclass(frozen=True)
 class TestSet:
-    """Vertices selected for inspection plus the edges that qualified them."""
+    """Vertices selected for inspection; `vertices` is the ascending id array
+    of them and the neighbors that qualified them."""
 
     selected: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    vertices: np.ndarray
     labels: dict[int, int]
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        """Selected vertices and every endpoint of their returned edges."""
-        endpoints = {w for e in self.edges for w in e}
-        return frozenset(endpoints | set(self.selected))
 
 
 @dataclass(frozen=True)
 class InjectionRecord:
-    """Audit trail of one `inject_anomalies` call."""
+    """Audit trail of one `inject_anomalies` call; `targets` is one id array
+    of every injected vertex's targets in turn, `edge_counts` of them each."""
 
     injected: tuple[int, ...]
     edge_counts: tuple[int, ...]
-    targets: tuple[tuple[int, ...], ...]
+    targets: np.ndarray
 
 
 def generate_ba(n: int, m: int, seed) -> Graph:
@@ -162,13 +158,9 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
 
     sources = np.repeat(np.arange(host_n, host_n + n, dtype=np.int64), edge_counts)
     targets = np.concatenate(target_arrays)
-    # targets are host ids, below every new id: (target, source) is the
-    # canonical (min, max) row of an undirected edge
-    pairs = (sources, targets) if g.directed else (targets, sources)
-    edges = np.concatenate([g.edges, np.column_stack(pairs)])
+    edges = np.concatenate([g.edges, np.column_stack([sources, targets])])
     out = Graph(names, edges, g.directed, labels=labels)
-    record = InjectionRecord(tuple(range(host_n, host_n + n)), tuple(edge_counts),
-                             tuple(tuple(t.tolist()) for t in target_arrays))
+    record = InjectionRecord(tuple(range(host_n, host_n + n)), tuple(edge_counts), targets)
     return out, record
 
 
@@ -205,8 +197,8 @@ def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
     A uniformly drawn vertex is accepted when it matches `label_filter`
     (if given and the graph is labeled), has more than `min_friends`
     neighbors, and more than `min_friends` of those neighbors themselves
-    have more than `min_friends` neighbors.  The edges to those qualifying
-    neighbors are returned alongside the vertices.
+    have more than `min_friends` neighbors.  Those qualifying neighbors are
+    returned with the vertices, in `TestSet.vertices`.
     """
     if n < 1:
         raise ParameterError(f"requested vertex count must be >= 1, got {n}")
@@ -230,54 +222,40 @@ def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
             f"accepted {len(chosen)}/{n} vertices after the {ATTEMPT_FACTOR * n}-attempt "
             f"budget (100 x requested); constraints too strict for this graph")
 
-    # each selected vertex's edges to its rich neighbors, first occurrence kept
-    counts, nbrs = g.gather_neighbors(chosen, "all")
-    keep = rich[nbrs]
-    v, u = np.repeat(chosen, counts)[keep], nbrs[keep].astype(np.int64)
-    if not g.directed:
-        v, u = np.minimum(v, u), np.maximum(v, u)
-    first = np.sort(np.unique(v * g.vertex_count + u, return_index=True)[1])
+    _, nbrs = g.gather_neighbors(chosen, "all")
     selected = tuple(chosen.tolist())
     labels = [NORMAL] * n if g.labels is None else g.labels[chosen].tolist()
-    return TestSet(selected, tuple(zip(v[first].tolist(), u[first].tolist())),
-                   dict(zip(selected, labels)))
+    return TestSet(selected, np.union1d(chosen, nbrs[rich[nbrs]]), dict(zip(selected, labels)))
 
 
 def sample_training_pairs(g: Graph, excluded, size_per_class: int, seed
-                          ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """(existing edges, non-existing pairs) for the link training set.
 
-    Existing edges are drawn uniformly without replacement from E, which
-    biases endpoints toward high degree.  Non-existing pairs are distinct
-    and both endpoints are drawn uniformly.  Neither side touches a vertex
-    in `excluded`.
+    Each side is a (size_per_class, 2) int64 id array.  Existing edges are
+    drawn uniformly without replacement from E, which biases endpoints
+    toward high degree.  Non-existing pairs are distinct and both endpoints
+    are drawn uniformly; undirected ones are (min, max) rows.  Neither side
+    touches a vertex in `excluded`.
     """
     if size_per_class < 0:
         raise ParameterError("size_per_class must be >= 0")
-    if size_per_class == 0:
-        return [], []
     rng = generator(seed)
-    excluded = frozenset(excluded)
+    ex = np.unique(np.fromiter(excluded, dtype=np.int64))
 
-    mask = np.ones(len(g.edges), dtype=bool)
-    if excluded:
-        ex = np.fromiter(excluded, dtype=np.int64)
-        mask = ~(np.isin(g.edges[:, 0], ex) | np.isin(g.edges[:, 1], ex))
-    eligible = np.flatnonzero(mask)
+    eligible = np.flatnonzero(~(np.isin(g.edges[:, 0], ex) | np.isin(g.edges[:, 1], ex)))
     if len(eligible) < size_per_class:
         raise ExhaustionError(
-            f"only {len(eligible)} existing edges avoid the {len(excluded)} "
+            f"only {len(eligible)} existing edges avoid the {len(ex)} "
             f"excluded vertices; need {size_per_class}")
     picked = eligible[rng.choice(len(eligible), size=size_per_class, replace=False)]
-    negative_pairs = list(map(tuple, g.edges[picked].tolist()))
+    negative_pairs = g.edges[picked]
 
     n = g.vertex_count
 
     def accept(draws):
         v, u = draws.T
-        ok = v != u
-        if excluded:
-            ok &= ~(np.isin(v, ex) | np.isin(u, ex))
+        ok = (v != u) & ~(np.isin(v, ex) | np.isin(u, ex))
         if not g.directed:
             v, u = np.minimum(v, u), np.maximum(v, u)
         ok[ok] = ~g.adjacent(v[ok], u[ok], "out" if g.directed else "all")
@@ -288,7 +266,7 @@ def sample_training_pairs(g: Graph, excluded, size_per_class: int, seed
         raise ExhaustionError(
             f"found {len(kept)}/{size_per_class} non-existing pairs after the "
             f"{ATTEMPT_FACTOR * size_per_class}-attempt budget (100 x requested)")
-    positive_pairs = list(zip((kept // n).tolist(), (kept % n).tolist()))
+    positive_pairs = np.column_stack([kept // n, kept % n])
 
     return negative_pairs, positive_pairs
 
@@ -302,10 +280,6 @@ def build_link_training_set(g: Graph, excluded, size_per_class: int, seed
     list holds all negatives, then all positives; see
     :func:`sample_training_pairs` for the sampling rules.
     """
-    negative_pairs, positive_pairs = sample_training_pairs(g, excluded,
-                                                           size_per_class, seed)
-    neg_X = extract_feature_matrix(g, negative_pairs)
-    pos_X = extract_feature_matrix(g, positive_pairs)
-    examples = [TrainingExample(row, 0) for row in neg_X]
-    examples += [TrainingExample(row, 1) for row in pos_X]
-    return examples
+    pairs = sample_training_pairs(g, excluded, size_per_class, seed)
+    return [TrainingExample(row, label) for label, side in enumerate(pairs)
+            for row in extract_feature_matrix(g, side)]

@@ -1,15 +1,18 @@
+import csv
+
 import numpy as np
 import pytest
 
-from linkanomaly import (ExperimentConfig, auc, confusion_metrics, info_gain,
-                         k_fold_cv, precision_at_k, run_experiment)
+from linkanomaly import (ANOMALOUS, NORMAL, ExperimentConfig, auc, confusion_metrics,
+                         info_gain, k_fold_cv, precision_at_k, run_experiment)
 from linkanomaly import evaluation
 from linkanomaly.cli import main
 from linkanomaly.errors import (ParameterError, PipelineError, ShapeError, StratificationError,
                                 UndefinedMetricError)
 from linkanomaly.evaluation import injection_count
+from linkanomaly.rng import generator
 
-from _oracles import auc_pair_counting
+from _oracles import auc_pair_counting, inspected_vertices_loop
 
 
 # -- auc ----------------------------------------------------------------------
@@ -256,8 +259,51 @@ def test_exclusion_mode_decides_what_link_training_avoids(monkeypatch, mode):
                                 meta_tree_count=5, link_train_size_per_class=100))
     pos, neg = test_sets
     selected = set(pos.selected) | set(neg.selected)
-    assert excluded == [pos.vertices | neg.vertices if mode == "endpoints" else selected]
-    assert len(pos.vertices | neg.vertices) > len(selected)
+    involved = set(pos.vertices.tolist()) | set(neg.vertices.tolist())
+    assert excluded == [involved if mode == "endpoints" else selected]
+    assert len(involved) > len(selected)
+
+
+def test_audit_csv_lists_selected_vertices_and_their_qualifying_neighbors(tmp_path):
+    # min_friends = ba_m: a neighbor of the least degree does not qualify
+    config = _tiny_config(run_count=1, tree_count=5, meta_tree_count=5,
+                          link_train_size_per_class=100, min_friends=4)
+    run_experiment(config, audit_dir=tmp_path)
+    g = evaluation._prepare_graph(config)
+    selected, involved = set(), set()
+    for count, label, stream in ((config.test_positive_count, ANOMALOUS, evaluation._S_TEST_POS),
+                                  (config.test_negative_count, NORMAL, evaluation._S_TEST_NEG)):
+        chosen, edges, _ = inspected_vertices_loop(g, count, label, config.min_friends,
+                                                   generator((config.master_seed, stream)))
+        selected.update(chosen)
+        involved.update(chosen, *edges)  # an edge adds both its endpoints
+    expected = [["vertex", "label", "selected"]] + [
+        [g.name_of(v), str(g.label_of(v)), str(int(v in selected))] for v in sorted(involved)]
+    with open(tmp_path / "run0_test_set.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == expected
+
+
+@pytest.mark.parametrize("flag", ["--audit-dir", "--report-out", "--pk-out"])
+def test_evaluate_rejects_a_missing_output_directory_before_any_work(monkeypatch, tmp_path,
+                                                                     capsys, flag):
+    prepared = []
+
+    def prepare(config):
+        prepared.append(config)
+        raise RuntimeError("the experiment started")
+
+    monkeypatch.setattr(evaluation, "_prepare_graph", prepare)
+    config = tmp_path / "exp.cfg"
+    config.write_text("ba_n = 1500\nba_m = 4\n")
+    missing = tmp_path / "missing"
+    paths = {"--audit-dir": tmp_path, "--report-out": tmp_path / "r.json",
+             "--pk-out": tmp_path / "pk.csv"}
+    paths[flag] = missing if flag == "--audit-dir" else missing / "out"
+    argv = ["-q", "evaluate", "--config", str(config)]
+    assert main(argv + [str(x) for item in paths.items() for x in item]) == 1
+    err = capsys.readouterr().err
+    assert prepared == []
+    assert err.startswith("usage error") and flag in err and str(missing) in err
 
 
 def test_run_experiment_validates_config():

@@ -106,6 +106,17 @@ def test_labels_roundtrip():
     assert g.labels is None
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_with_labels_keeps_drop_counts_and_shares_edges_and_views(directed):
+    g = build_graph([("a", "b"), ("b", "c"), ("c", "b"), ("b", "c"), ("a", "a")], directed)
+    labeled = g.with_labels({"b": 1})
+    assert labeled.labels.tolist() == [0, 1, 0] and g.labels is None
+    assert (labeled.dropped_self_loops, labeled.dropped_duplicates) == (1, 2 - directed)
+    assert labeled.edges is g.edges
+    for mode in ("all", "in", "out", "bi"):
+        assert all(a is b for a, b in zip(labeled._view(mode), g._view(mode)))
+
+
 def test_neighbors_read_only():
     g = build_graph([("a", "b")], directed=False)
     with pytest.raises(ValueError):
@@ -163,9 +174,15 @@ def test_views_match_set_reference_on_random_multigraphs(directed):
         assert g.dropped_self_loops == loops
         assert g.dropped_duplicates == len(kept) - len(canon)
 
+        # the same rows as ids, self-loops, repeats and reversals included,
+        # straight into the constructor: it cleans them as build_graph does
+        direct = Graph(g.names, [(ids[names[a]], ids[names[b]]) for a, b in pairs], directed)
+        assert direct.edges.tobytes() == g.edges.tobytes()
+        assert (direct.dropped_self_loops, direct.dropped_duplicates) == \
+            (g.dropped_self_loops, g.dropped_duplicates)
         # the same edges with two isolated vertices appended
         iso = Graph(g.names + ["~iso0", "~iso1"], g.edges, directed)
-        for h in (g, iso):
+        for h in (g, direct, iso):
             k = h.vertex_count
             ref = _reference(k, canon, directed)
             rows, cols = np.divmod(np.arange(k * k), k)

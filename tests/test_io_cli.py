@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -18,10 +19,12 @@ from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyPr
 from linkanomaly.cli import main
 from linkanomaly.config import ExperimentConfig
 from linkanomaly.errors import ParseError
+from linkanomaly.evaluation import injection_count
 from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv,
                             write_edge_list, write_labels, write_profiles_csv)
+from linkanomaly.rng import generator
 
-from _oracles import edge_list_loop
+from _oracles import edge_list_loop, inject_loop
 
 
 # -- edge lists ---------------------------------------------------------------
@@ -86,6 +89,42 @@ def test_load_edge_list_equals_line_loop(tmp_path, case, directed):
     assert g.edges.tobytes() == np.array(edges, dtype=np.int64).reshape(-1, 2).tobytes()
     assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, dups)
     assert g.directed == directed
+
+
+_GAP = st.lists(st.sampled_from([" ", "\t", ","]), max_size=2).map("".join)
+_SEPARATOR = st.lists(st.sampled_from([" ", "\t", ","]), min_size=1, max_size=2).map("".join)
+_EDGE_LINE = st.tuples(_GAP, st.sampled_from(["a", "b", "c", "ab", "#a"]), _SEPARATOR,
+                       st.sampled_from(["a", "b", "c", "ab", "#a"]), _GAP).map("".join)
+_ANY_LINE = st.lists(st.sampled_from(["a", "b", ",", " ", "\t", "#"]), max_size=6).map("".join)
+
+
+def _lines(line):
+    """Text of up to 9 lines, each but the last ended by LF, CRLF or CR."""
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    return st.tuples(st.lists(st.tuples(line, endings).map("".join), max_size=8),
+                     line).map(lambda parts: "".join(parts[0]) + parts[1])
+
+
+# half the texts hold only edge lines (with self-loops and repeats among
+# them); the other half mix in any line over the same characters
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_lines(_EDGE_LINE), _lines(st.one_of(_EDGE_LINE, _ANY_LINE))),
+       directed=st.booleans())
+def test_load_edge_list_equals_line_loop_on_any_small_text(tmp_path, text, directed):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        names, edges, loops, dups = edge_list_loop(path, directed)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            load_edge_list(path, directed)
+        assert str(got.value) == str(e)
+        return
+    g = load_edge_list(path, directed)
+    assert g.names == names
+    assert g.edges.tolist() == [list(e) for e in edges]
+    assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, dups)
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -186,6 +225,26 @@ def test_cli_full_pipeline(tmp_path):
     assert 0 < len(entries) <= 50
 
     assert main(["-q", "rank", "--profiles", str(profiles), "--top", "5"]) == 0
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_cli_inject_record_lists_each_vertex_and_its_targets(tmp_path, directed):
+    graph, injected = tmp_path / "graph.csv", tmp_path / "injected.csv"
+    record = tmp_path / "record.csv"
+    rng = np.random.default_rng(4)
+    graph.write_text("".join(f"n{a},n{b}\n" for a, b in rng.integers(0, 60, (200, 2))))
+    flags = ["--directed"] if directed else []
+    assert main(["-q", "inject", "--graph", str(graph), *flags, "--fraction", "0.2",
+                 "--seed", "7", "--out", str(injected), "--labels-out", str(tmp_path / "l.csv"),
+                 "--record-out", str(record)]) == 0
+    host = load_edge_list(graph, directed)
+    n = injection_count(host.vertex_count, 0.2)
+    names, _, _, edge_counts, targets = inject_loop(host, n, generator(7))
+    expected = [["vertex", "edge_count", "targets"]] + [
+        [names[host.vertex_count + i], str(k), " ".join(names[t] for t in ts)]
+        for i, (k, ts) in enumerate(zip(edge_counts, targets))]
+    with open(record, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == expected
 
 
 def test_cli_evaluate_emits_valid_json(tmp_path):

@@ -3,9 +3,8 @@ import faulthandler
 import numpy as np
 import pytest
 
-from linkanomaly import (ANOMALOUS, NORMAL, InjectionRecord, build_graph,
-                         build_link_training_set, generate_ba, inject_anomalies,
-                         sample_test_vertices)
+from linkanomaly import (ANOMALOUS, NORMAL, build_graph, build_link_training_set,
+                         generate_ba, inject_anomalies, sample_test_vertices)
 from linkanomaly.errors import ExhaustionError, ParameterError
 from linkanomaly.graph import Graph
 from linkanomaly.rng import generator
@@ -123,8 +122,7 @@ def test_inject_targets_only_original_vertices():
     g = generate_ba(50, 2, seed=0)
     out, record = inject_anomalies(g, 10, seed=2)
     first_injected = record.injected[0]
-    for targets in record.targets:
-        assert all(t < g.vertex_count for t in targets)
+    assert (record.targets < g.vertex_count).all()
     # no edge between two injected vertices
     for v in record.injected:
         assert all(u < first_injected for u in out.neighbors(v))
@@ -178,8 +176,10 @@ def test_inject_equals_per_edge_loop(host):
         assert out.edges.tobytes() == np.array(edges, dtype=np.int64).tobytes()
         assert out.labels.tolist() == labels
         assert out.directed == host.directed
-        assert record == InjectionRecord(tuple(range(host.vertex_count, host.vertex_count + n)),
-                                         edge_counts, targets)
+        assert record.injected == tuple(range(host.vertex_count, host.vertex_count + n))
+        assert record.edge_counts == edge_counts
+        assert record.targets.dtype == np.int64
+        assert record.targets.tolist() == [t for ts in targets for t in ts]
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -217,7 +217,8 @@ def test_inject_deterministic():
     g = generate_ba(120, 3, seed=0)
     a_graph, a_rec = inject_anomalies(g, 12, seed=6)
     b_graph, b_rec = inject_anomalies(g, 12, seed=6)
-    assert a_rec == b_rec
+    assert a_rec.injected == b_rec.injected and a_rec.edge_counts == b_rec.edge_counts
+    assert np.array_equal(a_rec.targets, b_rec.targets)
     assert np.array_equal(a_graph.edges, b_graph.edges)
 
 
@@ -228,13 +229,8 @@ def test_sample_complete_graph():
     g = complete_graph(6)
     ts = sample_test_vertices(g, 2, None, 3, seed=0)
     assert len(ts.selected) == 2
-    # every selected vertex contributed its 5 edges (shared ones dedup)
-    degrees = {v: 0 for v in ts.selected}
-    for v, u in ts.edges:
-        for s in ts.selected:
-            if s in (v, u):
-                degrees[s] += 1
-    assert all(d == 5 for d in degrees.values())
+    # every selected vertex contributed its 5 neighbors: the whole clique
+    assert ts.vertices.tolist() == list(range(6))
 
 
 def test_sample_star_exhausts():
@@ -264,23 +260,27 @@ def test_sample_vertices_distinct_and_qualified():
     ts = sample_test_vertices(g, 50, None, 3, seed=6)
     assert len(set(ts.selected)) == 50
     degs = g.degrees("all")
-    for v, u in ts.edges:
-        assert degs[v] > 3 and degs[u] > 3
+    assert (degs[ts.vertices] > 3).all()
 
 
 def test_sample_deterministic():
     g = generate_ba(300, 3, seed=1)
     a = sample_test_vertices(g, 20, None, 3, seed=4)
     b = sample_test_vertices(g, 20, None, 3, seed=4)
-    assert a.selected == b.selected and a.edges == b.edges
+    assert a.selected == b.selected and np.array_equal(a.vertices, b.vertices)
 
 
 def _test_set_or_error(sample, *args):
+    """(selected, involved vertices, labels), or the ExhaustionError's message."""
     try:
         ts = sample(*args)
     except ExhaustionError as e:
         return str(e)
-    return ts if isinstance(ts, tuple) else (ts.selected, ts.edges, ts.labels)
+    if isinstance(ts, tuple):  # the loop's (selected, edges, labels)
+        selected, edges, labels = ts
+        return selected, sorted({*selected, *(w for e in edges for w in e)}), labels
+    assert ts.vertices.dtype == np.int64
+    return ts.selected, ts.vertices.tolist(), ts.labels
 
 
 def _test_set_hosts():
@@ -312,9 +312,8 @@ def test_sample_vertices_equal_vertex_at_a_time_loop(host, label_filter):
                                              min_friends, theirs)
             assert ours.bit_generator.state == theirs.bit_generator.state
             if not isinstance(got, str):  # plain ints, as the loop's are
-                selected, edges, labels = got
-                values = [*selected, *(w for e in edges for w in e), *labels.values()]
-                assert {type(x) for x in values} == {int}
+                selected, _, labels = got
+                assert {type(x) for x in [*selected, *labels.values()]} == {int}
 
 
 # -- build_link_training_set -----------------------------------------------------
@@ -370,9 +369,17 @@ def test_training_set_respects_exclusion_by_construction():
         build_link_training_set(g, excluded, 50, seed=0)
 
 
+def _pair_lists(sides):
+    """(existing, non-existing) pairs, each side a list of (v, u) int tuples."""
+    if isinstance(sides[0], np.ndarray):  # the sampler's (k, 2) int64 arrays
+        assert all(a.dtype == np.int64 and a.ndim == 2 and a.shape[1] == 2 for a in sides)
+        return tuple(list(map(tuple, a.tolist())) for a in sides)
+    return sides
+
+
 def _pairs_or_error(sample, *args):
     try:
-        return sample(*args)
+        return _pair_lists(sample(*args))
     except ExhaustionError as e:
         return str(e)
 
@@ -394,10 +401,10 @@ def test_training_pairs_equal_pair_at_a_time_loop(host):
             if not fresh:  # a live generator part-way through its stream
                 ours.random(3, dtype=np.float32)
                 theirs.random(3, dtype=np.float32)
-            assert sample_training_pairs(host, excluded, size, ours) == \
+            assert _pair_lists(sample_training_pairs(host, excluded, size, ours)) == \
                 training_pairs_loop(host, excluded, size, theirs)
             assert ours.bit_generator.state == theirs.bit_generator.state
-        assert sample_training_pairs(host, excluded, size, (seed, 5)) == \
+        assert _pair_lists(sample_training_pairs(host, excluded, size, (seed, 5))) == \
             training_pairs_loop(host, excluded, size, generator((seed, 5)))
 
 
