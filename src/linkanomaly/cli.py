@@ -119,12 +119,14 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    # a missing output directory fails now, not after minutes of experiment
-    for flag, directory in (("--report-out", Path(args.report_out).parent),
-                            ("--pk-out", Path(args.pk_out).parent),
-                            ("--audit-dir", Path(args.audit_dir or "."))):
+    # an output path that cannot be written fails now, not after minutes of experiment
+    for flag, directory, file in (("--report-out", Path(args.report_out).parent, args.report_out),
+                                  ("--pk-out", Path(args.pk_out).parent, args.pk_out),
+                                  ("--audit-dir", Path(args.audit_dir or "."), None)):
         if not directory.is_dir():
             raise _UsageError(f"{flag}: no directory {str(directory)!r}")
+        if file is not None and Path(file).is_dir():
+            raise _UsageError(f"{flag}: {file!r} is a directory")
     overrides = {}
     for item in args.set or []:
         if "=" not in item:

@@ -10,7 +10,7 @@ repetitions with derived seeds.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,19 +59,9 @@ class EvaluationReport:
     skipped_vertices: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "config": self.config,
-            "run_count": self.run_count,
-            "seeds": self.seeds,
-            "test_composition": self.test_composition,
-            "skipped_vertices": self.skipped_vertices,
-            "link_auc": self.link_auc,
-            "folds": self.folds,
-            "averaged": self.averaged,
-            "precision_at_k": {str(k): v for k, v in self.precision_at_k.items()},
-            "info_gain": self.info_gain,
-        }
+        """Every field, plus the schema version; JSON keys must be strings."""
+        return {**asdict(self), "schema_version": REPORT_SCHEMA_VERSION,
+                "precision_at_k": {str(k): v for k, v in self.precision_at_k.items()}}
 
 
 # -- scalar metrics ----------------------------------------------------------
@@ -120,8 +110,9 @@ def confusion_metrics(predicted: Sequence[int], labels: Sequence[int]) -> dict:
     }
 
 
-def precision_at_k(ranked: Sequence[int], labels: Mapping[int, int], k: int) -> float:
-    """Fraction of the k highest-ranked vertices that are anomalous."""
+def precision_at_k(ranked: Sequence[int], labels: Mapping[int, int] | np.ndarray, k: int) -> float:
+    """Fraction of the k highest-ranked vertices that are anomalous; `labels`
+    is any mapping or array indexed by vertex id, such as `Graph.labels`."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if k > len(ranked):
@@ -241,9 +232,7 @@ def _prepare_graph(config: ExperimentConfig) -> Graph:
         rng = generator(config.master_seed, _S_RANDOM_LABELS)
         n = max(1, round(g.vertex_count * config.anomaly_fraction))
         chosen = rng.choice(g.vertex_count, size=n, replace=False)
-        labels = np.zeros(g.vertex_count, dtype=np.int8)
-        labels[chosen] = ANOMALOUS
-        g = Graph(g.names, g.edges, g.directed, labels=labels)
+        g = g.with_labels({g.name_of(v): ANOMALOUS for v in chosen.tolist()})
     else:  # provided
         g = g.with_labels(io.load_labels(config.labels_path))
     return g
@@ -264,8 +253,7 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
     params = config.forest_params()
     report = EvaluationReport(run_count=config.run_count, config=config.resolved())
     report.seeds = [config.master_seed + r for r in range(config.run_count)]
-    pk_sums: dict[int, float] = {}
-    pk_counts: dict[int, int] = {}
+    pk: dict[int, list[float]] = {}
     ig_sums: dict[str, float] = {name: 0.0 for name in META_FEATURE_NAMES}
     link_aucs: list[float] = []
 
@@ -304,13 +292,11 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
                 link_aucs.append(auc(forest.predict_proba_many(hx), hy))
 
         with _stage("profile-test-vertices"):
-            vertices = list(pos.selected) + list(neg.selected)
-            truth = {**pos.labels, **neg.labels}
-            profiles, skipped = profile_vertices(forest, g, vertices,
+            profiles, skipped = profile_vertices(forest, g, pos.selected + neg.selected,
                                                  config.threshold,
                                                  config.direction_mode)
             report.skipped_vertices += len(skipped)
-            y = [truth[p.vertex] for p in profiles]
+            y = g.labels[[p.vertex for p in profiles]]
             matrix = np.array([p.as_row() for p in profiles])
 
         with _stage("cross-validate"):
@@ -321,23 +307,19 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
 
         with _stage("rank-and-score"):
             ranked = rank_vertices(profiles, "abnormality_probability", "desc")
-            labels_by_vertex = {p.vertex: truth[p.vertex] for p in profiles}
             for k in PRECISION_KS:
                 if k <= len(ranked):
-                    pk_sums[k] = pk_sums.get(k, 0.0) + precision_at_k(
-                        ranked, labels_by_vertex, k)
-                    pk_counts[k] = pk_counts.get(k, 0) + 1
+                    pk.setdefault(k, []).append(precision_at_k(ranked, g.labels, k))
             for j, name in enumerate(META_FEATURE_NAMES):
                 ig_sums[name] += info_gain(matrix[:, j], y)
 
-    runs = config.run_count
     report.test_composition = {
         "anomalous": config.test_positive_count,
         "normal": config.test_negative_count,
     }
     report.averaged = _fold_means(report.folds)
-    report.precision_at_k = {k: v / pk_counts[k] for k, v in sorted(pk_sums.items())}
-    report.info_gain = {name: v / runs for name, v in ig_sums.items()}
+    report.precision_at_k = {k: sum(v) / len(v) for k, v in sorted(pk.items())}
+    report.info_gain = {name: v / config.run_count for name, v in ig_sums.items()}
     if link_aucs:
         report.link_auc = {"per_run": link_aucs, "mean": sum(link_aucs) / len(link_aucs)}
     return report

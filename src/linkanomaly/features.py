@@ -88,8 +88,8 @@ def _w(deg: int) -> float:
 def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
     """The full feature vector for the ordered pair (v, u): the pairwise reference.
 
-    Γ(x) is x's all-neighbors set (either direction when directed); Γ_in,
-    Γ_out and Γ_bi (joined both ways) are the directed views.
+    Γ(x) is x's all-neighbors set (either direction when directed); Γ_in
+    and Γ_out are the directed views, and Γ_bi = Γ_in ∩ Γ_out (joined both ways).
       total_friends               |Γ(v) ∪ Γ(u)|
       common_friends              |Γ(v) ∩ Γ(u)| (undirected)
       common_friends_in/out/bi    |Γ_mode(v) ∩ Γ_mode(u)| (directed)
@@ -122,10 +122,13 @@ def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
         def common(mode_v: str, mode_u: str) -> int:
             return len(_intersect(g.neighbors(v, mode_v), g.neighbors(u, mode_u)))
 
+        def bi(x: int) -> np.ndarray:
+            return _intersect(g.neighbors(x, "in"), g.neighbors(x, "out"))
+
         wiv, wov = _w(g.degree(v, "in")), _w(g.degree(v, "out"))
         wiu, wou = _w(g.degree(u, "in")), _w(g.degree(u, "out"))
         return EdgeFeatureVector(FEATURE_NAMES_DIRECTED, np.array([
-            union, common("in", "in"), common("out", "out"), common("bi", "bi"),
+            union, common("in", "in"), common("out", "out"), len(_intersect(bi(v), bi(u))),
             jaccard, pref, common("out", "in"), 1 if g.has_edge(u, v) else 0,
             wiv + wiu, wiv + wou, wov + wiu, wov + wou,
             wiv * wiu, wiv * wou, wov * wiu, wov * wou,

@@ -1,10 +1,10 @@
-"""Immutable graph with four directional neighbor views over sorted edge keys.
+"""Immutable graph with three directional neighbor views over sorted edge keys.
 
 Vertex names are interned to dense integer ids (sorted name order for
 :func:`build_graph`, so the same edge multiset yields an identical graph in
 any input order).  The :class:`Graph` constructor is the one place that
 cleans id rows: it drops self-loops and duplicates, counting both, and puts
-undirected rows in (min, max) form.  Each neighbor view (all, in, out, bi)
+undirected rows in (min, max) form.  Each neighbor view (all, in, out)
 is one ascending int64 array of edge keys `row * n + col`, from which its
 CSR row offsets and sorted int32 neighbor ids are derived.  A neighbor
 query is a constant-time slice, and a batch of membership queries is one
@@ -23,7 +23,7 @@ from .errors import ParameterError, ParseError, UnknownVertexError
 NORMAL = 0
 ANOMALOUS = 1
 
-_MODES = ("all", "in", "out", "bi")
+_MODES = ("all", "in", "out")
 
 
 class _View(NamedTuple):
@@ -98,9 +98,7 @@ class Graph:
         if directed:
             into = np.sort(v * n + u)
             self._views = {"out": _View.of(out, n), "in": _View.of(into, n),
-                           "all": _View.of(_sorted_unique(np.concatenate([out, into])), n),
-                           # reciprocal pairs: (a, b) with (b, a) also present
-                           "bi": _View.of(out[_member(into, out)], n)}
+                           "all": _View.of(_sorted_unique(np.concatenate([out, into])), n)}
         else:
             both = _View.of(np.sort(np.concatenate([out, v * n + u])), n)
             self._views = dict.fromkeys(_MODES, both)

@@ -1,4 +1,6 @@
 import csv
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from linkanomaly import evaluation
 from linkanomaly.cli import main
 from linkanomaly.errors import (ParameterError, PipelineError, ShapeError, StratificationError,
                                 UndefinedMetricError)
-from linkanomaly.evaluation import injection_count
+from linkanomaly.evaluation import REPORT_SCHEMA_VERSION, EvaluationReport, injection_count
+from linkanomaly.graph import Graph
+from linkanomaly.io import report_json
 from linkanomaly.rng import generator
 
 from _oracles import auc_pair_counting, inspected_vertices_loop
@@ -283,9 +287,13 @@ def test_audit_csv_lists_selected_vertices_and_their_qualifying_neighbors(tmp_pa
         assert list(csv.reader(fh)) == expected
 
 
-@pytest.mark.parametrize("flag", ["--audit-dir", "--report-out", "--pk-out"])
+# an output file that is an existing directory cannot be written either
+@pytest.mark.parametrize("flag, kind", [
+    *(pytest.param(flag, "missing", id=flag) for flag in ("--audit-dir", "--report-out", "--pk-out")),
+    *(pytest.param(flag, "directory", id=f"{flag}-is-a-directory")
+      for flag in ("--report-out", "--pk-out"))])
 def test_evaluate_rejects_a_missing_output_directory_before_any_work(monkeypatch, tmp_path,
-                                                                     capsys, flag):
+                                                                     capsys, flag, kind):
     prepared = []
 
     def prepare(config):
@@ -299,11 +307,51 @@ def test_evaluate_rejects_a_missing_output_directory_before_any_work(monkeypatch
     paths = {"--audit-dir": tmp_path, "--report-out": tmp_path / "r.json",
              "--pk-out": tmp_path / "pk.csv"}
     paths[flag] = missing if flag == "--audit-dir" else missing / "out"
+    if kind == "directory":
+        missing.mkdir()
+        paths[flag] = missing
     argv = ["-q", "evaluate", "--config", str(config)]
     assert main(argv + [str(x) for item in paths.items() for x in item]) == 1
     err = capsys.readouterr().err
     assert prepared == []
     assert err.startswith("usage error") and flag in err and str(missing) in err
+    assert ("is a directory" in err) == (kind == "directory")
+
+
+def test_random_labels_are_attached_to_the_host_without_building_it_again(monkeypatch):
+    built = []
+    real_init = Graph.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", init)
+    config = _tiny_config(anomaly_source="random")
+    g = evaluation._prepare_graph(config)
+    assert len(built) == 1
+    host = built[0]
+    assert host.labels is None and g.edges is host.edges
+    for mode in ("all", "in", "out"):
+        assert all(a is b for a, b in zip(g._view(mode), host._view(mode)))
+    # stream 2 of the master seed picks the anomalous vertices
+    n = host.vertex_count
+    chosen = generator(config.master_seed, 2).choice(
+        n, size=round(n * config.anomaly_fraction), replace=False)
+    expected = np.zeros(n, dtype=np.int8)
+    expected[chosen] = ANOMALOUS
+    assert g.labels.dtype == np.int8 and g.labels.tolist() == expected.tolist()
+
+
+def test_report_holds_every_field_and_the_schema_version():
+    names = {f.name for f in fields(EvaluationReport)}
+    assert set(EvaluationReport().to_dict()) == {"schema_version"} | names
+    # a new field changes the report bytes, so it has to be added here too
+    assert names == {"folds", "averaged", "precision_at_k", "info_gain", "run_count", "seeds",
+                     "test_composition", "link_auc", "config", "skipped_vertices"}
+    data = json.loads(report_json(EvaluationReport(precision_at_k={10: 0.5, 100: 0.25})))
+    assert data["precision_at_k"] == {"10": 0.5, "100": 0.25}
+    assert data["schema_version"] == REPORT_SCHEMA_VERSION
 
 
 def test_run_experiment_validates_config():

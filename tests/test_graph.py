@@ -45,20 +45,15 @@ def test_neighbor_modes_directed():
     assert set(g.neighbors(v, "out")) == {u}
     assert set(g.neighbors(v, "in")) == set()
     assert set(g.neighbors(v, "all")) == {u}
-    assert set(g.neighbors(v, "bi")) == set()
-
-
-def test_bidirectional_neighbors():
-    g = build_graph([("v", "u"), ("u", "v")], directed=True)
-    v, u = g.id_of("v"), g.id_of("u")
-    assert set(g.neighbors(v, "bi")) == {u}
-    assert set(g.neighbors(u, "bi")) == {v}
+    # the reciprocal set is Γ_in ∩ Γ_out, derived where it is used, not a view
+    with pytest.raises(ParameterError):
+        g.neighbors(v, "bi")
 
 
 def test_undirected_modes_coincide():
     g = build_graph([("v", "u")], directed=False)
     v, u = g.id_of("v"), g.id_of("u")
-    for mode in ("all", "in", "out", "bi"):
+    for mode in ("all", "in", "out"):
         assert set(g.neighbors(v, mode)) == {u}
 
 
@@ -76,7 +71,7 @@ def test_no_self_in_neighbors():
         assert v not in set(g.neighbors(v))
 
 
-def test_bi_bounded_by_in_and_out():
+def test_all_is_union_of_in_and_out():
     rng = np.random.default_rng(5)
     names = [f"n{i}" for i in range(8)]
     edges = [(names[a], names[b])
@@ -84,8 +79,6 @@ def test_bi_bounded_by_in_and_out():
              if a != b and rng.random() < 0.4]
     g = build_graph(edges, directed=True)
     for v in range(g.vertex_count):
-        assert g.degree(v, "bi") <= min(g.degree(v, "in"), g.degree(v, "out"))
-        assert set(g.neighbors(v, "bi")) == set(g.neighbors(v, "in")) & set(g.neighbors(v, "out"))
         assert set(g.neighbors(v, "all")) == set(g.neighbors(v, "in")) | set(g.neighbors(v, "out"))
 
 
@@ -113,7 +106,7 @@ def test_with_labels_keeps_drop_counts_and_shares_edges_and_views(directed):
     assert labeled.labels.tolist() == [0, 1, 0] and g.labels is None
     assert (labeled.dropped_self_loops, labeled.dropped_duplicates) == (1, 2 - directed)
     assert labeled.edges is g.edges
-    for mode in ("all", "in", "out", "bi"):
+    for mode in ("all", "in", "out"):
         assert all(a is b for a, b in zip(labeled._view(mode), g._view(mode)))
 
 
@@ -126,7 +119,7 @@ def test_neighbors_read_only():
 @pytest.mark.parametrize("directed", [False, True])
 def test_gather_neighbors_concatenates_in_vertex_order(directed):
     g = build_graph([("a", "b"), ("a", "c"), ("c", "b"), ("d", "a")], directed)
-    for mode in ("all", "in", "out", "bi"):
+    for mode in ("all", "in", "out"):
         vs = [2, 0, 2, 3, 1]
         counts, flat = g.gather_neighbors(vs, mode)
         assert counts.tolist() == [g.degree(v, mode) for v in vs]
@@ -148,9 +141,8 @@ def _reference(n: int, edges: set, directed: bool) -> dict:
         into[b].add(a)
     if not directed:
         both = [o | i for o, i in zip(out, into)]
-        return dict.fromkeys(("all", "in", "out", "bi"), both)
-    return {"out": out, "in": into, "all": [o | i for o, i in zip(out, into)],
-            "bi": [o & i for o, i in zip(out, into)]}
+        return dict.fromkeys(("all", "in", "out"), both)
+    return {"out": out, "in": into, "all": [o | i for o, i in zip(out, into)]}
 
 
 @pytest.mark.parametrize("directed", [False, True])

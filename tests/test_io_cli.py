@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linkanomaly import generate_ba
+from linkanomaly import build_graph, generate_ba
 from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyProfile
 from linkanomaly.cli import main
 from linkanomaly.config import ExperimentConfig
@@ -138,8 +138,6 @@ def test_edge_list_roundtrip(tmp_path):
 def test_edge_list_roundtrip_directed(tmp_path):
     rng = np.random.default_rng(0)
     lines = {(f"v{a}", f"v{b}") for a, b in rng.integers(0, 20, (60, 2)) if a != b}
-    from linkanomaly import build_graph
-
     g = build_graph(sorted(lines), directed=True)
     path = tmp_path / "g.csv"
     write_edge_list(g, path)
@@ -172,6 +170,33 @@ def test_labels_unknown_token(tmp_path):
     path.write_text("vertex,label\nv1,maybe\n")
     with pytest.raises(ParseError):
         load_labels(path)
+
+
+# rows of a name and a label token, or of 0 to 3 fields of either kind or
+# a lone quote; names hold a comma, a line break or NUL in quotes
+_LABELS_NAME = st.sampled_from(["a", "b", "zz", '"a,b"', '"b\r\nzz"', '"zz\x00"', "", "\x00"])
+_LABELS_TOKEN = st.sampled_from(["0", "1", "normal", " Anomalous", '"1"', "NORMAL\x00"])
+_LABELS_ROW = st.one_of(
+    st.tuples(_LABELS_NAME, _LABELS_TOKEN).map(",".join),
+    st.lists(st.one_of(_LABELS_NAME, _LABELS_TOKEN, st.just('"')), max_size=3).map(",".join))
+_LABELS_BODY = st.lists(st.tuples(_LABELS_ROW, st.sampled_from(["\r\n", "\n", ""])).map("".join),
+                        max_size=5).map("".join)
+
+
+# two texts in three start with the header, so most of those get past it
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.sampled_from(["", "vertex,label\r\n", "vertex,label\n"]), body=_LABELS_BODY)
+def test_load_labels_on_any_small_text_fails_by_name_or_gives_0_1_labels(tmp_path, header, body):
+    path = tmp_path / "labels.csv"
+    path.write_bytes((header + body).encode("utf-8"))
+    try:
+        labels = load_labels(path)
+    except ParseError:
+        return
+    g = build_graph([("a", "b"), ("b", "zz")], directed=False).with_labels(labels)
+    assert g.labels.dtype == np.int8 and g.labels.shape == (3,)
+    assert set(g.labels.tolist()) <= {0, 1}
 
 
 # -- CLI ---------------------------------------------------------------------------
