@@ -8,7 +8,7 @@ many improbable edges floats to the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -19,24 +19,14 @@ from .features import extract_feature_matrix, feature_names
 from .forest import LinkForest
 from .graph import Graph
 
-META_FEATURE_NAMES = (
-    "abnormality_probability",
-    "edges_probability_stdv",
-    "sum_edge_label",
-    "mean_predicted_link_label",
-    "predicted_label_stdv",
-    "edges_probability_median",
-    "edge_count",
-)
-
 DIRECTION_MODES = ("out", "in", "all")
 RANK_ORDERS = ("desc", "asc")
-
-_meta_values = attrgetter(*META_FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
 class VertexAnomalyProfile:
+    """A vertex and its seven meta-features, in the paper's order."""
+
     vertex: int
     abnormality_probability: float
     edges_probability_stdv: float
@@ -55,6 +45,10 @@ class VertexAnomalyProfile:
         return np.array(_meta_values(self), dtype=np.float64)
 
 
+META_FEATURE_NAMES = tuple(f.name for f in fields(VertexAnomalyProfile)[1:])
+_meta_values = attrgetter(*META_FEATURE_NAMES)
+
+
 def _score_edges(forest: LinkForest, g: Graph, vertices: Sequence[int], mode: str
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edge counts, neighbors, non-existence probabilities) of `vertices`.
@@ -68,7 +62,7 @@ def _score_edges(forest: LinkForest, g: Graph, vertices: Sequence[int], mode: st
         raise ShapeError(
             "forest was trained on a different feature set than this graph mode provides")
     vertices = np.asarray(vertices, dtype=np.int64)
-    counts, nbrs = g.gather_neighbors(vertices, mode if g.directed else "all")
+    counts, nbrs = g.gather_neighbors(vertices, mode)
     if len(nbrs) == 0:
         return counts, nbrs, np.empty(0)
     pairs = np.column_stack((np.repeat(vertices, counts), nbrs))
@@ -81,7 +75,7 @@ def edge_probabilities(forest: LinkForest, g: Graph, v: int,
 
     Directed graphs are scored on the inspected vertex's outbound edges by
     default (the attacker model creates outbound links); `mode` can widen
-    that to inbound or all edges.  Undirected graphs always use Γ(v).
+    that to inbound or all edges.  On an undirected graph every mode gives Γ(v).
     """
     counts, nbrs, probs = _score_edges(forest, g, [v], mode)
     if counts[0] == 0:

@@ -106,15 +106,11 @@ def _cmd_score(args) -> int:
 def _cmd_rank(args) -> int:
     if args.top is not None and args.top < 0:
         raise _UsageError(f"--top must be >= 0, got {args.top}")
-    entries = io.load_profiles_csv(args.profiles)
-    profiles = [p for _, p in entries]
-    names = {p.vertex: name for name, p in entries}
-    ranked = rank_vertices(profiles, args.by, args.order)
-    values = {p.vertex: p.value(args.by) for p in profiles}
-    top = ranked if args.top is None else ranked[:args.top]
+    entries = io.load_profiles_csv(args.profiles)  # profile i has vertex id i
     print(f"vertex,{args.by}")
-    for v in top:
-        print(f"{names[v]},{values[v]!r}")
+    for v in rank_vertices([p for _, p in entries], args.by, args.order)[:args.top]:
+        name, profile = entries[v]
+        print(f"{name},{profile.value(args.by)!r}")
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -235,12 +235,7 @@ class LinkForest:
             "n_features": self.n_features,
             "feature_names": list(self.feature_names) if self.feature_names else None,
             "seed": list(seed_key(self.seed)),
-            "params": {
-                "tree_count": self.params.tree_count,
-                "features_per_split": self.params.features_per_split,
-                "min_leaf_size": self.params.min_leaf_size,
-                "max_depth": self.params.max_depth,
-            },
+            "params": asdict(self.params),
             "trees": [{name: getattr(t, name).tolist() for name, _ in _NODE_ARRAYS}
                       for t in self.trees],
         }

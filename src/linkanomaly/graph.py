@@ -208,7 +208,7 @@ class Graph:
         """True iff (u, v) is an edge ((u, v) in either order when undirected)."""
         self._check_vertex(u)
         self._check_vertex(v)
-        row = self.neighbors(u, "out" if self.directed else "all")
+        row = self.neighbors(u, "out")
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 

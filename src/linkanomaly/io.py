@@ -14,7 +14,7 @@ import math
 import re
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_type_hints
 
 import numpy as np
 
@@ -68,42 +68,47 @@ def write_edge_list(g: Graph, path, comment: str | None = None) -> None:
             fh.write(f"{names[a]},{names[b]}\n")
 
 
-def _csv_rows(fh, path):
-    """The rows of a CSV file, with a `csv.Error` (such as a field over the
-    csv module's size limit) raised as a ParseError naming the line."""
-    rows = csv.reader(fh)
-    try:
-        yield from rows
-    except csv.Error as e:
-        raise ParseError(f"{path}:{rows.line_num}: {e}") from None
+def _csv_rows(path):
+    """A CSV file's header row (None if empty), then `(line, row)` per non-blank
+    row, `line` being the file line the row ends on; a `csv.Error` (such as a
+    field over the csv module's size limit) becomes a ParseError naming it."""
+    with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        try:
+            yield next(rows, None)
+            for row in rows:
+                if row:
+                    yield rows.line_num, row
+        except csv.Error as e:
+            raise ParseError(f"{path}:{rows.line_num}: {e}") from None
+
+
+def _write_csv(path, header: list[str], rows: Iterable) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def load_labels(path) -> dict[str, int]:
     """Parse a `vertex,label` CSV; vertices absent from it default to normal."""
     labels: dict[str, int] = {}
-    with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _csv_rows(fh, path)
-        header = next(rows, None)
-        if header is None or [h.strip().lower() for h in header] != ["vertex", "label"]:
-            raise ParseError(f"{path}: expected header 'vertex,label', got {header}")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two fields, got {row}")
-            name, token = row[0].strip(), row[1].strip().lower()
-            if token not in _LABEL_TOKENS:
-                raise ParseError(f"{path}:{lineno}: unknown label token {row[1]!r}")
-            labels[name] = _LABEL_TOKENS[token]
+    rows = _csv_rows(path)
+    header = next(rows)
+    if header is None or [h.strip().lower() for h in header] != ["vertex", "label"]:
+        raise ParseError(f"{path}: expected header 'vertex,label', got {header}")
+    for line, row in rows:
+        if len(row) != 2:
+            raise ParseError(f"{path}:{line}: expected two fields, got {row}")
+        name, token = row[0].strip(), row[1].strip().lower()
+        if token not in _LABEL_TOKENS:
+            raise ParseError(f"{path}:{line}: unknown label token {row[1]!r}")
+        labels[name] = _LABEL_TOKENS[token]
     return labels
 
 
 def write_labels(path, labels: Mapping[str, int]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["vertex", "label"])
-        for name in labels:
-            out.writerow([name, int(labels[name])])
+    _write_csv(path, ["vertex", "label"], ([name, int(labels[name])] for name in labels))
 
 
 def load_vertex_list(path) -> list[str]:
@@ -122,51 +127,39 @@ def load_vertex_list(path) -> list[str]:
 
 def write_profiles_csv(path, profiles: Iterable[VertexAnomalyProfile], g: Graph) -> None:
     names = g.names
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["vertex", *META_FEATURE_NAMES])
-        fields = attrgetter("vertex", *META_FEATURE_NAMES)
-        out.writerows([names[v], *(repr(float(x)) for x in values)]
-                      for v, *values in map(fields, profiles))
+    fields = attrgetter("vertex", *META_FEATURE_NAMES)
+    _write_csv(path, ["vertex", *META_FEATURE_NAMES],
+               ([names[v], *(repr(float(x)) for x in values)]
+                for v, *values in map(fields, profiles)))
+
+
+# the profile's int fields are its whole-number columns
+_PROFILE_TYPES = tuple(get_type_hints(VertexAnomalyProfile)[name] for name in META_FEATURE_NAMES)
 
 
 def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
-    """Read profiles back; vertex ids become row indices (file order).
+    """Read profiles back in file order; profile i has vertex id i.
 
     Every value must be finite, and the two count columns whole numbers.
     """
     expected = ["vertex", *META_FEATURE_NAMES]
     entries = []
-    with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _csv_rows(fh, path)
-        header = next(rows, None)
-        if header != expected:
-            raise ParseError(f"{path}: expected header {','.join(expected)!r}")
-        for i, row in enumerate(rows):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise ParseError(f"{path}:{i + 2}: expected {len(expected)} fields, got {len(row)}")
-            try:
-                values = [float(x) for x in row[1:]]
-            except ValueError as e:
-                raise ParseError(f"{path}:{i + 2}: {e}") from None
-            for j, x in enumerate(values):
-                whole = j in (2, 6)
-                if not (x.is_integer() if whole else math.isfinite(x)):
-                    kind = "a whole number" if whole else "finite"
-                    raise ParseError(f"{path}:{i + 2}: {META_FEATURE_NAMES[j]} must be {kind},"
-                                     f" got {row[j + 1]!r}")
-            entries.append((row[0], VertexAnomalyProfile(
-                vertex=i,
-                abnormality_probability=values[0],
-                edges_probability_stdv=values[1],
-                sum_edge_label=int(values[2]),
-                mean_predicted_link_label=values[3],
-                predicted_label_stdv=values[4],
-                edges_probability_median=values[5],
-                edge_count=int(values[6]),
-            )))
+    rows = _csv_rows(path)
+    if next(rows) != expected:
+        raise ParseError(f"{path}: expected header {','.join(expected)!r}")
+    for line, row in rows:
+        if len(row) != len(expected):
+            raise ParseError(f"{path}:{line}: expected {len(expected)} fields, got {len(row)}")
+        try:
+            values = [float(x) for x in row[1:]]
+        except ValueError as e:
+            raise ParseError(f"{path}:{line}: {e}") from None
+        for name, kind, x, text in zip(META_FEATURE_NAMES, _PROFILE_TYPES, values, row[1:]):
+            if not (x.is_integer() if kind is int else math.isfinite(x)):
+                must = "a whole number" if kind is int else "finite"
+                raise ParseError(f"{path}:{line}: {name} must be {must}, got {text!r}")
+        entries.append((row[0], VertexAnomalyProfile(
+            len(entries), *(kind(x) for kind, x in zip(_PROFILE_TYPES, values)))))
     return entries
 
 
@@ -184,11 +177,8 @@ def write_report(report, path) -> None:
 
 def write_precision_at_k_csv(report, path) -> None:
     """Plot-ready two-column CSV of the averaged precision@k curve."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["k", "precision"])
-        for k in sorted(report.precision_at_k):
-            out.writerow([int(k), repr(report.precision_at_k[k])])
+    curve = report.precision_at_k
+    _write_csv(path, ["k", "precision"], ([int(k), repr(curve[k])] for k in sorted(curve)))
 
 
 # -- audit trails -----------------------------------------------------------
@@ -196,21 +186,17 @@ def write_precision_at_k_csv(report, path) -> None:
 
 def write_injection_record_csv(record: InjectionRecord, g: Graph, path) -> None:
     names = g.names
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["vertex", "edge_count", "targets"])
-        targets = record.targets.tolist()
-        ends = np.cumsum(record.edge_counts).tolist()
-        for v, k, end in zip(record.injected, record.edge_counts, ends):
-            out.writerow([names[v], k, " ".join(names[t] for t in targets[end - k:end])])
+    targets = record.targets.tolist()
+    ends = np.cumsum(record.edge_counts).tolist()
+    _write_csv(path, ["vertex", "edge_count", "targets"],
+               ([names[v], k, " ".join(names[t] for t in targets[end - k:end])]
+                for v, k, end in zip(record.injected, record.edge_counts, ends)))
 
 
 def write_test_set_csv(pos: TestSet, neg: TestSet, g: Graph, path) -> None:
     """Membership audit: every vertex involved in the test sets and its role."""
     names = g.names
     selected = set(pos.selected) | set(neg.selected)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["vertex", "label", "selected"])
-        for v in np.union1d(pos.vertices, neg.vertices).tolist():
-            out.writerow([names[v], g.label_of(v), int(v in selected)])
+    _write_csv(path, ["vertex", "label", "selected"],
+               ([names[v], g.label_of(v), int(v in selected)]
+                for v in np.union1d(pos.vertices, neg.vertices).tolist()))

@@ -134,7 +134,7 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
     if n > g.vertex_count:
         raise ParameterError(f"injection count {n} exceeds vertex count {g.vertex_count}")
     host_n = g.vertex_count
-    host_degrees = g.degrees("out" if g.directed else "all")
+    host_degrees = g.degrees("out")
     if not host_degrees.any():
         raise ExhaustionError(
             f"no host vertex has {'an outbound' if g.directed else 'an'} edge, so no "
@@ -258,7 +258,7 @@ def sample_training_pairs(g: Graph, excluded, size_per_class: int, seed
         ok = (v != u) & ~(np.isin(v, ex) | np.isin(u, ex))
         if not g.directed:
             v, u = np.minimum(v, u), np.maximum(v, u)
-        ok[ok] = ~g.adjacent(v[ok], u[ok], "out" if g.directed else "all")
+        ok[ok] = ~g.adjacent(v[ok], u[ok], "out")
         return v * n + u, ok
 
     kept = _first_accepted(rng, n, 2, size_per_class, accept)

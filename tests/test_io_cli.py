@@ -14,14 +14,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linkanomaly import build_graph, generate_ba
+from linkanomaly import build_graph, generate_ba, sampling
 from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyProfile
 from linkanomaly.cli import main
 from linkanomaly.config import ExperimentConfig
 from linkanomaly.errors import ParseError
 from linkanomaly.evaluation import injection_count
-from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv,
-                            write_edge_list, write_labels, write_profiles_csv)
+from linkanomaly.graph import Graph
+from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv, write_edge_list,
+                            write_injection_record_csv, write_labels,
+                            write_precision_at_k_csv, write_profiles_csv, write_test_set_csv)
 from linkanomaly.rng import generator
 
 from _oracles import edge_list_loop, inject_loop
@@ -165,10 +167,13 @@ def test_labels_empty_body(tmp_path):
     assert load_labels(path) == {}
 
 
-def test_labels_unknown_token(tmp_path):
+# the line named is the file line the row ends on, past a quoted line break
+@pytest.mark.parametrize("text, line", [("vertex,label\nv1,maybe\n", 2),
+                                        ('vertex,label\n"a\nb",1\nc,maybe\n', 4)])
+def test_labels_unknown_token(tmp_path, text, line):
     path = tmp_path / "labels.csv"
-    path.write_text("vertex,label\nv1,maybe\n")
-    with pytest.raises(ParseError):
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f":{line}: unknown label token 'maybe'"):
         load_labels(path)
 
 
@@ -499,15 +504,17 @@ PROBABILITY_COLUMNS = [name for name in META_FEATURE_NAMES
 
 @pytest.mark.parametrize("column", PROBABILITY_COLUMNS)
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_profiles_probability_columns_reject_non_finite_values(tmp_path, column, value, capsys):
+@pytest.mark.parametrize("first_name, line", [("a", 3), ('"a\nz"', 4)])
+def test_profiles_probability_columns_reject_non_finite_values(tmp_path, column, value,
+                                                               first_name, line, capsys):
     path = tmp_path / "profiles.csv"
     rows = [{**dict.fromkeys(META_FEATURE_NAMES, x), "sum_edge_label": "1", "edge_count": "2"}
             for x in ("0.3", "0.9", "0.5")]
     rows[1][column] = value
     path.write_text(f"vertex,{','.join(META_FEATURE_NAMES)}\n" + "".join(
         f"{name},{','.join(row[c] for c in META_FEATURE_NAMES)}\n"
-        for name, row in zip("abc", rows)))
-    with pytest.raises(ParseError, match=f":3: {column} must be finite, got '{value}'"):
+        for name, row in zip([first_name, "b", "c"], rows)))
+    with pytest.raises(ParseError, match=f":{line}: {column} must be finite, got '{value}'"):
         load_profiles_csv(path)
     assert main(["-q", "rank", "--profiles", str(path), "--by", column]) == 2
     assert "data error" in capsys.readouterr().err
@@ -531,6 +538,32 @@ def test_profiles_csv_round_trips_every_finite_value(tmp_path, rows):
     # repr tells -0.0 from 0.0 and shows every bit of a float
     assert [(name, repr(p)) for name, p in loaded] == [
         (name, repr(p)) for (name, *_), p in zip(rows, profiles)]
+
+
+def test_csv_writers_write_these_bytes(tmp_path):
+    """CRLF line ends, names with a comma or a quote quoted, floats as repr."""
+    g = Graph(["a,b", 'say "hi"', "c"], np.array([[0, 1], [1, 2]]), directed=False,
+              labels=np.array([0, 0, 1]))
+    path = tmp_path / "out.csv"
+    write_labels(path, {"a,b": 1, 'say "hi"': 0})
+    assert path.read_bytes() == b'vertex,label\r\n"a,b",1\r\n"say ""hi""",0\r\n'
+    write_profiles_csv(path, [VertexAnomalyProfile(1, 0.1, 1 / 3, 2, 0.5, 0.0, -0.0, 4),
+                              VertexAnomalyProfile(0, 1.0, 0.0, 0, 0.0, 0.0, 1e-20, 1)], g)
+    assert path.read_bytes() == (
+        b"vertex,abnormality_probability,edges_probability_stdv,sum_edge_label,"
+        b"mean_predicted_link_label,predicted_label_stdv,edges_probability_median,edge_count\r\n"
+        b'"say ""hi""",0.1,0.3333333333333333,2.0,0.5,0.0,-0.0,4.0\r\n'
+        b'"a,b",1.0,0.0,0.0,0.0,0.0,1e-20,1.0\r\n')
+    write_precision_at_k_csv(SimpleNamespace(precision_at_k={10: 0.1, 2: 1 / 3}), path)
+    assert path.read_bytes() == b"k,precision\r\n2,0.3333333333333333\r\n10,0.1\r\n"
+    record = sampling.InjectionRecord((2, 0), (1, 2), np.array([1, 1, 2]))
+    write_injection_record_csv(record, g, path)
+    assert path.read_bytes() == (b'vertex,edge_count,targets\r\nc,1,"say ""hi"""\r\n'
+                                 b'"a,b",2,"say ""hi"" c"\r\n')
+    write_test_set_csv(sampling.TestSet((2,), np.array([1, 2]), {2: 1}),
+                       sampling.TestSet((0,), np.array([0, 1]), {0: 0}), g, path)
+    assert path.read_bytes() == (b'vertex,label,selected\r\n"a,b",0,1\r\n'
+                                 b'"say ""hi""",0,0\r\nc,1,1\r\n')
 
 
 _NUMBER = st.one_of(st.sampled_from(["0.5", "0.25", "1", "-0.0"]), _FINITE.map(repr))
