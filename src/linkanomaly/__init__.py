@@ -14,7 +14,7 @@ from .evaluation import (EvaluationReport, auc, confusion_metrics, info_gain,
 from .features import (EdgeFeatureVector, FEATURE_NAMES_DIRECTED,
                        FEATURE_NAMES_UNDIRECTED, extract_edge_features,
                        extract_feature_matrix, feature_names)
-from .forest import ForestParams, LinkForest, TrainingExample, train_forest
+from .forest import ForestParams, LinkForest, TrainingExample, train_forest, train_forests
 from .graph import ANOMALOUS, NORMAL, Graph, build_graph
 from .sampling import (InjectionRecord, TestSet, build_link_training_set,
                        generate_ba, inject_anomalies, sample_test_vertices)
@@ -56,5 +56,6 @@ __all__ = [
     "run_experiment",
     "sample_test_vertices",
     "train_forest",
+    "train_forests",
     "vertex_profile",
 ]

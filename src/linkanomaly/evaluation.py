@@ -22,7 +22,7 @@ from .config import PRECISION_KS, ExperimentConfig
 from .errors import (ParameterError, PipelineError, ShapeError,
                      StratificationError, UndefinedMetricError)
 from .features import feature_names
-from .forest import ForestParams, train_forest
+from .forest import ForestParams, train_forest, train_forests
 from .graph import ANOMALOUS, NORMAL, Graph
 from .rng import generator, seed_key
 from .sampling import (build_link_training_set, generate_ba, inject_anomalies,
@@ -176,11 +176,12 @@ def k_fold_cv(X: np.ndarray, labels: Sequence[int], folds: int, seed,
         fold_of[idx] = np.arange(len(idx)) % folds
 
     key = seed_key(seed)
+    tests = [fold_of == f for f in range(folds)]
+    # one batch: the folds' trees share one set of forked workers
+    forests = train_forests([(X[~test], y[~test], key + (1, f)) for f, test in enumerate(tests)],
+                            params, META_FEATURE_NAMES)
     report = EvaluationReport(run_count=1, seeds=[])
-    for f in range(folds):
-        test = fold_of == f
-        forest = train_forest(None, params, key + (1, f), X=X[~test], y=y[~test],
-                              feature_names=META_FEATURE_NAMES)
+    for f, (test, forest) in enumerate(zip(tests, forests)):
         scores = forest.predict_proba_many(X[test])
         entry = {"run": 0, "fold": f, "auc": auc(scores, y[test])}
         entry.update(confusion_metrics((scores >= 0.5).astype(int), y[test]))

@@ -7,10 +7,10 @@ should not exist".  Training is reproducible by construction:
 * examples are canonically sorted before any sampling, so the forest is
   independent of input order;
 * every random draw comes from a generator keyed on (seed, tree index),
-  so the trees do not depend on which process grows them: a fit grows
-  them in parallel on every CPU in the process's affinity set (the caller
-  and one forked worker per further CPU), and `taskset -c 0` makes it
-  serial;
+  so the trees do not depend on which process grows them: a fit, or a
+  batch of fits (`train_forests`), grows them in parallel on every CPU in
+  the process's affinity set (the caller and one forked worker per
+  further CPU), and `taskset -c 0` makes it serial;
 * split ties are broken by lowest feature index, then lowest threshold.
 
 Splits use Gini impurity with midpoint thresholds between sorted distinct
@@ -42,6 +42,11 @@ _MIN_GAIN = 1e-12
 # rows x trees below which a fit grows its trees in one process: forking
 # and piping the trees back cost a few ms, as much as such a fit saves
 _MIN_PARALLEL_WORK = 5_000
+
+# nodes of at most this many rows search their cuts in plain Python.  On the
+# meta fits 32 and 64 time alike; 64 also serves the link fit, whose
+# min_leaf_size of 25 leaves such a node few cuts to scan
+_SMALL_NODE = 64
 
 
 @dataclass(frozen=True)
@@ -118,12 +123,39 @@ def _best_split_on_feature(column: np.ndarray, idx: np.ndarray, pos: np.ndarray,
     """(weighted child gini, threshold, left positives) of the best cut, or None.
 
     The cut is of `column[idx]`; `pos` lists the `n1` positive rows of `idx`.
+    Nodes of up to `_SMALL_NODE` rows take a plain-Python scan, where a
+    numpy call costs more than its arithmetic; it evaluates the same float
+    expression in the same order, so both paths give the same bits.
     """
-    xs = column.take(idx)
-    xs.sort()
-    n = len(xs)
+    n = len(idx)
     # cut after position i, leaving at least min_leaf rows on each side
     lo, hi = min_leaf - 1, n - min_leaf
+    if n <= _SMALL_NODE:
+        xs = sorted(column.take(idx).tolist())
+        xp = sorted(column.take(pos).tolist())
+        # counts stay ints, which a float operation converts exactly; only a
+        # score below the bar can win, and the first minimum is kept
+        bar, best, j = parent_score - _MIN_GAIN, None, 0  # j: positives <= the cut's value
+        for i in range(lo, hi):
+            x = xs[i]
+            if x < xs[i + 1]:  # a cut never splits tied values
+                while j < n1 and xp[j] <= x:
+                    j += 1
+                left_n = i + 1.0
+                left0 = left_n - j
+                right1 = n1 - j
+                right_n = n - left_n
+                right0 = right_n - right1
+                score = (left_n - (left0 * left0 + j * j) / left_n
+                         + right_n - (right0 * right0 + right1 * right1) / right_n) / n
+                if score < bar:
+                    bar, best = score, (i, j)
+        if best is None:
+            return None
+        i, j = best
+        return bar, _threshold(xs[i], xs[i + 1]), j
+    xs = column.take(idx)
+    xs.sort()
     cuts = (xs[lo:hi] < xs[lo + 1:hi + 1]).nonzero()[0] + lo
     if len(cuts) == 0:
         return None
@@ -142,10 +174,13 @@ def _best_split_on_feature(column: np.ndarray, idx: np.ndarray, pos: np.ndarray,
     if score[best] >= parent_score - _MIN_GAIN:
         return None
     i = cuts[best]
-    thr = (xs[i] + xs[i + 1]) / 2.0
-    if thr >= xs[i + 1]:  # midpoint rounded up to the right value
-        thr = xs[i]
-    return float(score[best]), float(thr), int(left1[best])
+    return float(score[best]), _threshold(float(xs[i]), float(xs[i + 1])), int(left1[best])
+
+
+def _threshold(below: float, above: float) -> float:
+    """The midpoint of a cut's two values, or the lower one if it rounds up to the upper."""
+    thr = (below + above) / 2.0
+    return below if thr >= above else thr
 
 
 def _grow_tree(XT: np.ndarray, y: np.ndarray, params: ForestParams,
@@ -301,7 +336,6 @@ def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParam
                  seed, *, X: np.ndarray | None = None, y: np.ndarray | None = None,
                  feature_names: Sequence[str] | None = None) -> LinkForest:
     """Fit a forest on TrainingExamples (or a prebuilt X, y pair) labeled 0 or 1."""
-    params.validate()
     if examples is not None:
         try:
             X = np.array([ex.features for ex in examples], dtype=np.float64)
@@ -310,10 +344,28 @@ def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParam
         y = np.array([ex.label for ex in examples], dtype=np.uint8)
     elif X is None or y is None:
         raise ParameterError("train_forest needs examples or an (X, y) pair")
-    else:
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.uint8)
+    return train_forests([(X, y, seed)], params, feature_names)[0]
 
+
+def train_forests(fits: Sequence[tuple], params: ForestParams,
+                  feature_names: Sequence[str] | None = None) -> list[LinkForest]:
+    """One forest per `(X, y, seed)` fit, labeled 0 or 1, all grown in one batch.
+
+    Every fit is checked and put in canonical order before any tree grows.
+    The trees of all fits then share one set of workers, and each forest
+    is the one a lone `train_forest` call on its fit gives.
+    """
+    params.validate()
+    prepared = [(*_canonical(X, y), seed_key(seed)) for X, y, seed in fits]
+    return [LinkForest(trees, params, seed, XT.shape[0], feature_names)
+            for trees, (XT, _, _), (_, _, seed) in zip(_grow_trees(prepared, params),
+                                                       prepared, fits)]
+
+
+def _canonical(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """A checked fit's (features, rows) transpose and boolean labels, in canonical order."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.uint8)
     if X.ndim != 2 or len(X) != len(y):
         raise ShapeError(f"bad training shapes X={X.shape}, y={y.shape}")
     if len(X) < 2:
@@ -328,37 +380,39 @@ def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParam
 
     # canonical order: by feature tuple, then label
     order = np.lexsort((y,) + tuple(X.T[::-1]))
-    XT, y = X.T.take(order, axis=1), y[order].astype(bool)
-
-    d = X.shape[1]
-    mtry = params.features_per_split or int(np.ceil(np.sqrt(d)))
-    mtry = min(mtry, d)
-    trees = _grow_trees(XT, y, params, mtry, seed_key(seed))
-    return LinkForest(trees, params, seed, d, feature_names)
+    return X.T.take(order, axis=1), y[order].astype(bool)
 
 
-def _worker_count(tree_count: int, rows: int) -> int:
-    """Processes to grow a fit's trees on: 1 where forking cannot pay."""
+def _worker_count(jobs: int, work: int) -> int:
+    """Processes to grow `jobs` trees, of `work` rows x trees in all: 1 where forking cannot pay."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or rows * tree_count < _MIN_PARALLEL_WORK):
+            or work < _MIN_PARALLEL_WORK):
         return 1
-    return min(len(os.sched_getaffinity(0)), tree_count)
+    return min(len(os.sched_getaffinity(0)), jobs)
 
 
-def _grow_trees(XT: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int,
-                key: tuple[int, ...]) -> list[_Tree]:
-    """The fit's trees in tree order, grown by forked workers sharing XT and y.
+def _grow_trees(fits: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]],
+                params: ForestParams) -> list[list[_Tree]]:
+    """Each `(XT, y, key)` fit's trees in tree order, grown by forked workers.
 
-    Worker i grows trees i, i + w, i + 2w, ... and pipes them back pickled;
-    the parent grows chunk 0.  Each tree draws only from its own (key, tree)
-    stream, so the trees do not depend on the worker count.  A chunk whose
-    worker fails is regrown in the parent, where a real error then raises.
+    The jobs are every fit's trees, fit after fit.  Worker i grows jobs i,
+    i + w, i + 2w, ... and pipes them back pickled; the parent grows chunk
+    0.  Each tree draws only from its own (key, tree) stream, so the trees
+    depend neither on the worker count nor on the other fits of the batch.
+    A chunk whose worker fails is regrown in the parent, where a real error
+    then raises.
     """
-    workers = _worker_count(params.tree_count, len(y))
+    count = params.tree_count
+    jobs = [(fit, t) for fit in fits for t in range(count)]
+    workers = _worker_count(len(jobs), count * sum(len(y) for _, y, _ in fits))
 
     def grow(chunk: int) -> list[_Tree]:
-        return [_grow_tree(XT, y, params, mtry, generator(key, t))
-                for t in range(chunk, params.tree_count, workers)]
+        trees = []
+        for (XT, y, key), t in jobs[chunk::workers]:
+            d = XT.shape[0]
+            mtry = min(params.features_per_split or int(np.ceil(np.sqrt(d))), d)
+            trees.append(_grow_tree(XT, y, params, mtry, generator(key, t)))
+        return trees
 
     chunks = {}
     pipes = {}  # pid -> (chunk, read end of its pipe)
@@ -384,12 +438,17 @@ def _grow_trees(XT: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int,
             pipes[pid] = (chunk, open(r, "rb"))
         chunks[0] = grow(0)
         for pid, (chunk, pipe) in list(pipes.items()):
+            # unpickled as they arrive: a batch's pickled trees can run to
+            # megabytes, and the parent never holds them whole
             with pipe:
-                data = pipe.read()
+                try:
+                    grown = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the worker stopped short
+                    grown = None
             _, status = os.waitpid(pid, 0)
             del pipes[pid]
-            if os.waitstatus_to_exitcode(status) == 0:
-                chunks[chunk] = pickle.loads(data)
+            if grown is not None and os.waitstatus_to_exitcode(status) == 0:
+                chunks[chunk] = grown
     finally:
         if pipes:  # left only when unwinding
             import signal  # here, not at import: about 1 ms of every start
@@ -397,8 +456,7 @@ def _grow_trees(XT: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int,
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    trees = [None] * params.tree_count
+    trees = [None] * len(jobs)
     for chunk in range(workers):
         trees[chunk::workers] = chunks[chunk] if chunk in chunks else grow(chunk)
-    return trees
-
+    return [trees[k:k + count] for k in range(0, len(trees), count)]

@@ -509,3 +509,43 @@ def predict_proba_loop(forest, X):
         c1 = tree.count1[node].astype(np.float64)
         acc += c1 / (c0 + c1)
     return acc / len(forest.trees)
+
+
+# -- meta-classifier cross-validation ----------------------------------------------------
+#
+# The fold loop `evaluation.k_fold_cv` replaced: one `train_forest` call,
+# and so one set of forked workers, per fold.
+
+
+def k_fold_cv_loop(X, labels, folds, seed, params=None):
+    """`k_fold_cv`'s EvaluationReport, each fold's forest fit on its own."""
+    import numpy as np
+
+    from linkanomaly.anomaly import META_FEATURE_NAMES
+    from linkanomaly.evaluation import (EvaluationReport, _fold_means, auc,
+                                        confusion_metrics)
+    from linkanomaly.forest import ForestParams, train_forest
+    from linkanomaly.rng import generator, seed_key
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.uint8)
+    params = params or ForestParams()
+    rng = generator(seed, 0)
+    fold_of = np.empty(len(y), dtype=np.int64)
+    for cls in (0, 1):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        fold_of[idx] = np.arange(len(idx)) % folds
+
+    key = seed_key(seed)
+    report = EvaluationReport(run_count=1, seeds=[])
+    for f in range(folds):
+        test = fold_of == f
+        forest = train_forest(None, params, key + (1, f), X=X[~test], y=y[~test],
+                              feature_names=META_FEATURE_NAMES)
+        scores = forest.predict_proba_many(X[test])
+        entry = {"run": 0, "fold": f, "auc": auc(scores, y[test])}
+        entry.update(confusion_metrics((scores >= 0.5).astype(int), y[test]))
+        report.folds.append(entry)
+    report.averaged = _fold_means(report.folds)
+    return report

@@ -1,13 +1,15 @@
 import csv
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from linkanomaly import (ANOMALOUS, NORMAL, ExperimentConfig, auc, confusion_metrics,
-                         info_gain, k_fold_cv, precision_at_k, run_experiment)
-from linkanomaly import evaluation
+from linkanomaly import (ANOMALOUS, NORMAL, ExperimentConfig, ForestParams, auc,
+                         confusion_metrics, info_gain, k_fold_cv, precision_at_k,
+                         run_experiment)
+from linkanomaly import evaluation, forest
 from linkanomaly.cli import main
 from linkanomaly.errors import (ParameterError, PipelineError, ShapeError, StratificationError,
                                 UndefinedMetricError)
@@ -16,7 +18,7 @@ from linkanomaly.graph import Graph
 from linkanomaly.io import report_json
 from linkanomaly.rng import generator
 
-from _oracles import auc_pair_counting, inspected_vertices_loop
+from _oracles import auc_pair_counting, inspected_vertices_loop, k_fold_cv_loop
 
 
 # -- auc ----------------------------------------------------------------------
@@ -174,6 +176,51 @@ def test_cv_folds_partition_and_stratify():
     for name in ("auc", "tpr", "fpr", "precision"):
         mean = sum(e[name] for e in report.folds) / 8
         assert report.averaged[name] == mean
+
+
+@pytest.mark.parametrize("seed, folds, params", [
+    (11, 10, ForestParams(tree_count=10)),
+    ((3, 7), 5, ForestParams(tree_count=7, min_leaf_size=3)),
+    (12, 4, ForestParams(tree_count=3, features_per_split=2, max_depth=4)),
+    (13, 2, ForestParams(tree_count=1)),
+])
+def test_cv_equals_per_fold_loop(seed, folds, params):
+    rng = np.random.default_rng(folds)
+    X = np.round(rng.normal(size=(300, 7)), 1)
+    y = (X[:, 0] + rng.normal(size=300) > 1.0).astype(int)
+    report = k_fold_cv(X, y, folds, seed, params)
+    reference = k_fold_cv_loop(X, y, folds, seed, params)
+    assert len(report.folds) == folds
+    for field in fields(report):
+        assert getattr(report, field.name) == getattr(reference, field.name), field.name
+
+
+def _cv_forks(monkeypatch, rows, folds, tree_count):
+    """os.fork calls one k_fold_cv makes, with 3 CPUs in the affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    X, y = _toy_profiles(rows // 3, rows - rows // 3)
+    k_fold_cv(X, y, folds, 5, ForestParams(tree_count=tree_count))
+    monkeypatch.undo()
+    return len(forks)
+
+
+def test_cv_forks_once_per_extra_worker_above_the_floor(monkeypatch):
+    # 5 folds of 160 training rows x 10 trees: each fold alone is under the
+    # 5,000 rows x trees floor, the batch of all five is over it
+    assert 160 * 10 < forest._MIN_PARALLEL_WORK <= 5 * 160 * 10
+    assert _cv_forks(monkeypatch, 200, 5, 10) == 2
+    with pytest.raises(ChildProcessError):  # every worker was waited for
+        os.waitpid(-1, os.WNOHANG)
+    # 4 folds of 30 training rows x 10 trees: the batch is under the floor
+    assert 4 * 30 * 10 < forest._MIN_PARALLEL_WORK
+    assert _cv_forks(monkeypatch, 40, 4, 10) == 0
 
 
 def test_cv_stratification_error():

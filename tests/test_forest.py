@@ -1,11 +1,13 @@
 import json
 import os
+import pickle
 import signal
 
 import numpy as np
 import pytest
 
-from linkanomaly import ForestParams, LinkForest, TrainingExample, forest, train_forest
+from linkanomaly import (ForestParams, LinkForest, TrainingExample, forest, train_forest,
+                         train_forests)
 from linkanomaly.errors import DegenerateTrainingError, ParameterError, ShapeError
 from linkanomaly.rng import generator
 
@@ -174,23 +176,37 @@ def _parallel_data():
     return X, y
 
 
-def _serial_grow_trees(XT, y, params, mtry, key):
-    return [forest._grow_tree(XT, y, params, mtry, generator(key, t))
-            for t in range(params.tree_count)]
+def _batch():
+    """Three fits with different row counts, seeds and feature counts."""
+    X, y = _parallel_data()
+    return [(X, y, (5, 6)), (X[:250], y[:250], (5, 7)), (X[:120, :3], y[:120], 8)]
 
 
-def _fit(monkeypatch, tmp_path, params, workers):
-    """(trees, saved bytes): serial loop when workers is None, else forked."""
+def _serial_grow_trees(fits, params):
+    def mtry(d):
+        return min(params.features_per_split or int(np.ceil(np.sqrt(d))), d)
+    return [[forest._grow_tree(XT, y, params, mtry(XT.shape[0]), generator(key, t))
+             for t in range(params.tree_count)] for XT, y, key in fits]
+
+
+def _saved(f, path):
+    f.save(path)
+    return path.read_bytes()
+
+
+def _fit(monkeypatch, tmp_path, params, workers, fits=None):
+    """Each fit's (trees, saved bytes): serial loop when workers is None, else forked.
+
+    The fits default to the first of `_batch()` alone.
+    """
     if workers is None:
         monkeypatch.setattr(forest, "_grow_trees", _serial_grow_trees)
     else:
-        monkeypatch.setattr(forest, "_worker_count", lambda trees, rows: min(workers, trees))
-    X, y = _parallel_data()
-    f = train_forest(None, params, seed=(5, 6), X=X, y=y)
+        monkeypatch.setattr(forest, "_worker_count", lambda jobs, work: min(workers, jobs))
+    forests = train_forests(fits or _batch()[:1], params)
     monkeypatch.undo()
-    path = tmp_path / f"forest-{workers}.json"
-    f.save(path)
-    return f.trees, path.read_bytes()
+    return [(f.trees, _saved(f, tmp_path / f"forest-{workers}-{i}.json"))
+            for i, f in enumerate(forests)]
 
 
 def _assert_no_children_left():
@@ -204,9 +220,9 @@ def _assert_no_children_left():
                          ids=["default", "max_depth", "features_per_split", "min_leaf_size"])
 def test_forked_workers_grow_the_serial_forest(monkeypatch, tmp_path, tree_count, variant):
     params = ForestParams(tree_count=tree_count, **variant)
-    serial_trees, serial_bytes = _fit(monkeypatch, tmp_path, params, None)
+    [(serial_trees, serial_bytes)] = _fit(monkeypatch, tmp_path, params, None)
     for workers in (2, 3):
-        trees, data = _fit(monkeypatch, tmp_path, params, workers)
+        [(trees, data)] = _fit(monkeypatch, tmp_path, params, workers)
         _assert_no_children_left()
         assert data == serial_bytes
         assert len(trees) == tree_count
@@ -214,6 +230,24 @@ def test_forked_workers_grow_the_serial_forest(monkeypatch, tmp_path, tree_count
             for name, dtype in forest._NODE_ARRAYS:
                 a, b = getattr(ours, name), getattr(theirs, name)
                 assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+def test_batched_fits_equal_lone_fits(monkeypatch, tmp_path, workers):
+    # 7 trees a fit: with 2 or 3 workers a chunk's jobs straddle the fits
+    params = ForestParams(tree_count=7)
+    lone = [_saved(train_forest(None, params, seed, X=X, y=y), tmp_path / f"lone-{i}.json")
+            for i, (X, y, seed) in enumerate(_batch())]
+    batch = _fit(monkeypatch, tmp_path, params, workers, _batch())
+    _assert_no_children_left()
+    assert [data for _, data in batch] == lone
+
+
+def test_batch_checks_every_fit_before_growing(monkeypatch):
+    X, y = _parallel_data()
+    monkeypatch.setattr(forest, "_grow_trees", lambda fits, params: pytest.fail("grew trees"))
+    with pytest.raises(DegenerateTrainingError, match="single class"):
+        train_forests([(X, y, 1), (X, np.zeros_like(y), 2)], ForestParams(tree_count=3))
 
 
 @pytest.mark.parametrize("variant", [{}, {"max_depth": 3}, {"features_per_split": 1},
@@ -234,6 +268,50 @@ def test_grow_tree_equals_per_feature_argsort_engine(variant):
         reference = grow_tree_reference(X, y, params, mtry, generator((3, 4), t))
         ours = tuple(getattr(tree, name).tolist() for name, _ in forest._NODE_ARRAYS)
         assert ours == reference
+
+
+def _split_columns(rng, size):
+    """Columns with heavy ties, signed zeros, runs of adjacent floats, and none of these."""
+    adjacent = np.nextafter(1.0, 2.0) + np.arange(4) * np.spacing(1.0)  # odd mantissa first
+    return {
+        "ties": rng.integers(0, 4, size) * 0.5,
+        "signed_zeros": rng.choice([-0.0, 0.0, -1.0, 1.0], size),
+        "adjacent": rng.choice(adjacent, size),
+        "adjacent_zeros": rng.choice([-0.0, 0.0, 5e-324, 1e-323, -5e-324], size),
+        "continuous": rng.normal(size=size),
+    }
+
+
+def _split_bits(found):
+    return None if found is None else (found[0].hex(), found[1].hex(), found[2])
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3, 25])
+def test_small_node_split_search_equals_numpy_path(monkeypatch, min_leaf):
+    # a run of adjacent floats makes the midpoint round up to the upper value
+    a, b = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    assert (a + b) / 2.0 == b
+    small = forest._SMALL_NODE
+    rng = np.random.default_rng(min_leaf)
+    checked = found = 0
+    for n in (small - 1, small, small + 1):
+        for _ in range(40):
+            labels = rng.random(90) < rng.random()
+            for name, column in _split_columns(rng, 90).items():
+                idx = rng.integers(0, 90, n)  # a bootstrap node: repeated rows
+                pos = idx[labels[idx]]
+                n1 = len(pos)
+                # the parent's gini, as `_grow_tree` passes it, and a bar every cut clears
+                for parent_score in (1.0 - ((n - n1) ** 2 + n1 ** 2) / (n * n), 1.0):
+                    results = []
+                    for limit in (n, n - 1):  # plain-Python path, then numpy path
+                        monkeypatch.setattr(forest, "_SMALL_NODE", limit)
+                        results.append(_split_bits(forest._best_split_on_feature(
+                            column, idx, pos, n1, min_leaf, parent_score)))
+                    assert results[0] == results[1], (name, n)
+                    checked += 1
+                    found += results[0] is not None
+    assert found > checked // 4  # most cases did split, so the scan was compared
 
 
 # -- predict -------------------------------------------------------------------------
@@ -290,10 +368,11 @@ def test_predict_loaded_forest_with_scattered_children(tmp_path):
 
 
 def _failing_grow_tree(fail_tree, action):
+    """`_grow_tree` that first runs `action` for the tree whose stream is `fail_tree`."""
     grow = forest._grow_tree
 
     def grow_or_fail(XT, y, params, mtry, rng):
-        if rng.bit_generator.seed_seq.entropy[-1] == fail_tree:
+        if tuple(rng.bit_generator.seed_seq.entropy) == fail_tree:
             action()
         return grow(XT, y, params, mtry, rng)
     return grow_or_fail
@@ -307,20 +386,26 @@ def _raise():
     raise _TreeFailure("tree failed")
 
 
-@pytest.mark.parametrize("fail_tree", [0, 1, 5])  # the parent's chunk and both workers'
+# a fit's key and tree index; with 3 workers, job j of the batch is in chunk j % 3
+@pytest.mark.parametrize("fail_tree", [(1, 0), (1, 1), (1, 5), (2, 0), (2, 1), (2, 5)],
+                         ids=["fit0-parent", "fit0-worker1", "fit0-worker2",
+                              "fit1-parent", "fit1-worker1", "fit1-worker2"])
 def test_tree_error_raises_its_own_type_in_the_parent(monkeypatch, fail_tree):
     X, y = _parallel_data()
-    monkeypatch.setattr(forest, "_worker_count", lambda trees, rows: 3)
+    monkeypatch.setattr(forest, "_worker_count", lambda jobs, work: 3)
     monkeypatch.setattr(forest, "_grow_tree", _failing_grow_tree(fail_tree, _raise))
     with pytest.raises(_TreeFailure, match="tree failed"):
-        train_forest(None, ForestParams(tree_count=9), seed=1, X=X, y=y)
+        train_forests([(X, y, 1), (X[:250], y[:250], 2)], ForestParams(tree_count=9))
     _assert_no_children_left()
 
 
-@pytest.mark.parametrize("fail_tree", [1, 2])
+# the batch's 8-tree fits make (5, 7, 2) job 10 and (5, 7, 3) job 11
+@pytest.mark.parametrize("fail_tree", [(5, 6, 1), (5, 6, 2), (5, 7, 2), (5, 7, 3)],
+                         ids=["fit0-worker1", "fit0-worker2", "fit1-worker1", "fit1-worker2"])
 def test_killed_worker_chunk_is_regrown(monkeypatch, tmp_path, fail_tree):
     params = ForestParams(tree_count=8)
-    _, serial_bytes = _fit(monkeypatch, tmp_path, params, None)
+    fits = _batch()[:2]
+    serial_bytes = [data for _, data in _fit(monkeypatch, tmp_path, params, None, fits)]
     parent = os.getpid()
 
     def die_in_worker():
@@ -328,21 +413,39 @@ def test_killed_worker_chunk_is_regrown(monkeypatch, tmp_path, fail_tree):
             os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(forest, "_grow_tree", _failing_grow_tree(fail_tree, die_in_worker))
-    monkeypatch.setattr(forest, "_worker_count", lambda trees, rows: 3)
-    X, y = _parallel_data()
-    f = train_forest(None, params, seed=(5, 6), X=X, y=y)
+    regrown = _fit(monkeypatch, tmp_path, params, 3, fits)
     _assert_no_children_left()
-    path = tmp_path / "regrown.json"
-    f.save(path)
-    assert path.read_bytes() == serial_bytes
+    assert [data for _, data in regrown] == serial_bytes
+
+
+def test_worker_killed_mid_write_is_regrown(monkeypatch, tmp_path):
+    params = ForestParams(tree_count=8)
+    fits = _batch()[:2]
+    serial_bytes = [data for _, data in _fit(monkeypatch, tmp_path, params, None, fits)]
+    dumps = pickle.dumps
+
+    def dump_half_then_die(obj, out, protocol):  # runs only in a worker
+        data = dumps(obj, protocol)
+        out.write(data[:len(data) // 2])
+        out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(pickle, "dump", dump_half_then_die)
+    regrown = _fit(monkeypatch, tmp_path, params, 3, fits)
+    _assert_no_children_left()
+    assert [data for _, data in regrown] == serial_bytes
 
 
 def test_worker_count_bounds():
     cpus = len(os.sched_getaffinity(0))
+    floor = forest._MIN_PARALLEL_WORK
     assert forest._worker_count(1, 10**6) == 1
-    assert forest._worker_count(30, 10) == 1  # below the fit-size floor
-    assert forest._worker_count(30, 30000) == min(cpus, 30)
-    assert forest._worker_count(2, 30000) == min(cpus, 2)
+    assert forest._worker_count(30, 30 * 10) == 1  # below the fit-size floor
+    assert forest._worker_count(30, 30 * 30000) == min(cpus, 30)
+    assert forest._worker_count(2, 2 * 30000) == min(cpus, 2)
+    # the floor counts the whole batch's rows x trees
+    assert forest._worker_count(100, floor - 1) == 1
+    assert forest._worker_count(100, floor) == min(cpus, 100)
 
 
 def test_labels_other_than_0_and_1_rejected():
