@@ -6,14 +6,17 @@ any input order).  The :class:`Graph` constructor is the one place that
 cleans id rows: it drops self-loops and duplicates, counting both, and puts
 undirected rows in (min, max) form.  Each neighbor view (all, in, out)
 is one ascending int64 array of edge keys `row * n + col`, from which its
-CSR row offsets and sorted int32 neighbor ids are derived.  A neighbor
-query is a constant-time slice, and a batch of membership queries is one
-`np.searchsorted` over the keys (:meth:`Graph.adjacent`).
+CSR row offsets and sorted int32 neighbor ids are derived.  The views are
+built on first use, so a graph read only for its edges and degrees never
+builds them.  A neighbor query is a constant-time slice, and a batch of
+membership queries is one `np.searchsorted` over the keys
+(:meth:`Graph.adjacent`).
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -90,18 +93,21 @@ class Graph:
         # canonical order: sorted by (u, v), each row once
         out = _sorted_unique(keys)
         self.dropped_duplicates = len(keys) - len(out)
-        del keys  # not held while the views are built
-        self._edges = np.column_stack([out // n, out % n])
+        del keys
+        self._edges = np.empty((len(out), 2), dtype=np.int64)
+        np.divmod(out, n, out=(self._edges[:, 0], self._edges[:, 1]))
         self._edges.setflags(write=False)
-        u, v = self._edges[:, 0], self._edges[:, 1]
+        # filled by _view; a copy from with_labels shares the dict, so one build serves both
+        self._views: dict[str, _View] = {}
 
-        if directed:
-            into = np.sort(v * n + u)
-            self._views = {"out": _View.of(out, n), "in": _View.of(into, n),
-                           "all": _View.of(_sorted_unique(np.concatenate([out, into])), n)}
-        else:
-            both = _View.of(np.sort(np.concatenate([out, v * n + u])), n)
-            self._views = dict.fromkeys(_MODES, both)
+        # the degrees that the edge rows give without a view
+        u, v = self._edges[:, 0], self._edges[:, 1]
+        degrees = {"out": np.bincount(u, minlength=n), "in": np.bincount(v, minlength=n)}
+        if not directed:
+            degrees = dict.fromkeys(_MODES, degrees["out"] + degrees["in"])
+        for d in degrees.values():
+            d.setflags(write=False)
+        self._degrees = degrees
 
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int8)
@@ -155,11 +161,21 @@ class Graph:
     # -- neighbor views -----------------------------------------------------
 
     def _view(self, mode: str) -> _View:
-        try:
-            return self._views[mode]
-        except KeyError:
-            raise ParameterError(
-                f"unknown neighbor mode {mode!r}; expected one of {_MODES}") from None
+        if mode not in _MODES:
+            raise ParameterError(f"unknown neighbor mode {mode!r}; expected one of {_MODES}")
+        if not self._views:
+            self._views.update(self._build_views())
+        return self._views[mode]
+
+    def _build_views(self) -> dict[str, _View]:
+        n = len(self._names)
+        u, v = self._edges[:, 0], self._edges[:, 1]
+        out = u * n + v  # ascending, as the rows are
+        if not self.directed:
+            return dict.fromkeys(_MODES, _View.of(np.sort(np.concatenate([out, v * n + u])), n))
+        into = np.sort(v * n + u)
+        return {"out": _View.of(out, n), "in": _View.of(into, n),
+                "all": _View.of(_sorted_unique(np.concatenate([out, into])), n)}
 
     def _vertex_ids(self, vertices) -> np.ndarray:
         """`vertices` as an int64 array, raising for the first id out of range."""
@@ -202,6 +218,10 @@ class Graph:
         return len(self.neighbors(v, mode))
 
     def degrees(self, mode: str = "all") -> np.ndarray:
+        """Per-vertex neighbor-set sizes; read-only when the edge rows give them
+        without a view (every mode when undirected, in and out when directed)."""
+        if mode in self._degrees:
+            return self._degrees[mode]
         return np.diff(self._view(mode).indptr)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -268,15 +288,25 @@ def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool) -> Graph:
         endpoints += (a, b)
     if not endpoints:
         raise ParameterError("edge list is empty")
-    return graph_from_endpoints(endpoints, directed)
+    first_seen: dict[str, int] = {}
+    return graph_from_interned(first_seen, [intern_names(endpoints, first_seen, 0)], directed)
 
 
-def graph_from_endpoints(endpoints: Sequence[str], directed: bool) -> Graph:
-    """:func:`build_graph` of the pairs (endpoints[0], endpoints[1]), (endpoints[2], ...).
+def intern_names(names: Sequence[str], first_seen: dict[str, int], start: int) -> np.ndarray:
+    """Where each name first occurs in a run of names that reaches `names` at
+    position `start`; `first_seen` holds that position per name and gains the new ones."""
+    return np.fromiter(map(first_seen.setdefault, names, itertools.count(start)),
+                       dtype=np.int64, count=len(names))
 
-    The names are taken as valid: non-empty strings, an even number of them.
-    """
-    names = sorted(set(endpoints))
-    index = dict(zip(names, range(len(names))))
-    ids = np.fromiter(map(index.__getitem__, endpoints), dtype=np.int64, count=len(endpoints))
+
+def graph_from_interned(first_seen: dict[str, int], positions: list[np.ndarray],
+                        directed: bool) -> Graph:
+    """:func:`build_graph` of a run of valid names that :func:`intern_names` took in
+    slices: names 2i and 2i + 1 are an edge, and ids go in sorted name order."""
+    names = sorted(first_seen)
+    rank = np.empty(sum(map(len, positions)), dtype=np.int64)
+    rank[np.fromiter(map(first_seen.__getitem__, names), dtype=np.int64,
+                     count=len(names))] = np.arange(len(names))
+    ids = rank[np.concatenate(positions)]
+    del rank  # not held while the graph is built
     return Graph(names, ids.reshape(-1, 2), directed)

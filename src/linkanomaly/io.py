@@ -20,42 +20,66 @@ import numpy as np
 
 from .anomaly import META_FEATURE_NAMES, VertexAnomalyProfile
 from .errors import ParseError, named_decode_error
-from .graph import Graph, graph_from_endpoints
+from .graph import Graph, graph_from_interned, intern_names
 from .sampling import InjectionRecord, TestSet
 
 _LABEL_TOKENS = {"0": 0, "1": 1, "normal": 0, "anomalous": 1}
 
 
-# Matches at the start of each line that is not plainly one edge (two
+# A file's text is tokenized in slices of about this many characters, each
+# cut at a line end, so only one slice's names are held as strings at once.
+_CHUNK = 1 << 20
+
+# Matches the newline before each line that is not plainly one edge (two
 # fields once commas are blanked, the first not starting with "#"): blank,
-# comment and malformed lines are the only ones looked at one by one.
-_OTHER_LINE = re.compile(r"^(?![^\S\n]*[^\s#]\S*[^\S\n]+\S+[^\S\n]*$)", re.MULTILINE)
+# comment and malformed lines are the only ones looked at one by one.  The
+# literal newline lets the search skip from line end to line end.
+_OTHER_LINE = re.compile(r"\n(?![^\S\n]*[^\s#]\S*[^\S\n]+\S+[^\S\n]*(?:\n|\Z))")
 
 
 def load_edge_list(path, directed: bool) -> Graph:
-    """Parse an edge-list file into a graph."""
+    """Parse an edge-list file into a graph, one slice of lines at a time."""
     with named_decode_error(path), open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    first_seen: dict[str, int] = {}
+    positions, start, names_before, lines_before = [], 0, 0, 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1)
+        end = len(text) if end < 0 else end + 1
+        lines = text[start:end]
+        # the slice's names are freed before the next slice is split
+        positions.append(intern_names(_edge_list_names(lines, path, lines_before),
+                                      first_seen, names_before))
+        names_before += len(positions[-1])
+        lines_before += lines.count("\n")
+        start = end
+    if not first_seen:
+        raise ParseError(f"{path}: no edges found")
+    del text, lines  # not held while the graph is built
+    return graph_from_interned(first_seen, positions, directed)
+
+
+def _edge_list_names(text: str, path, lines_before: int) -> list[str]:
+    """The vertex names of whole edge-list lines, in order; a malformed line
+    raises, numbered as line `lines_before` + its line in `text`."""
     blanked = text.replace(",", " ")  # same offsets as `text`
     pieces, pos = [], 0
-    for match in _OTHER_LINE.finditer(blanked):
+    # a match at i of the newline-prefixed text is the line starting at i
+    for match in _OTHER_LINE.finditer("\n" + blanked):
         start = match.start()
         end = text.find("\n", start)
         end = len(text) if end < 0 else end
         stripped = text[start:end].strip()
         if stripped and stripped[0] != "#":
             if len(blanked[start:end].split()) != 2:
-                lineno = text.count("\n", 0, start) + 1
+                lineno = lines_before + text.count("\n", 0, start) + 1
                 line = text[start:end + 1]
                 raise ParseError(f"{path}:{lineno}: expected two vertex names, got {line!r}")
             continue  # an edge line starting ",#": its first name starts with "#"
         pieces.append(blanked[pos:start])
         pos = end
     pieces.append(blanked[pos:])
-    endpoints = "".join(pieces).split()
-    if not endpoints:
-        raise ParseError(f"{path}: no edges found")
-    return graph_from_endpoints(endpoints, directed)
+    return "".join(pieces).split()
 
 
 def write_edge_list(g: Graph, path, comment: str | None = None) -> None:
@@ -64,8 +88,7 @@ def write_edge_list(g: Graph, path, comment: str | None = None) -> None:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")
-        for a, b in g.edges:
-            fh.write(f"{names[a]},{names[b]}\n")
+        fh.writelines(f"{names[a]},{names[b]}\n" for a, b in g.edges.tolist())
 
 
 def _csv_rows(path):

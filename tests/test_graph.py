@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from linkanomaly import build_graph
+from linkanomaly import build_graph, generate_ba, inject_anomalies
 from linkanomaly.errors import ParameterError, ParseError, UnknownVertexError
-from linkanomaly.graph import Graph
+from linkanomaly.graph import Graph, _View
+from linkanomaly.io import load_edge_list
 
 
 def test_build_undirected_counts():
@@ -110,6 +111,42 @@ def test_with_labels_keeps_drop_counts_and_shares_edges_and_views(directed):
         assert all(a is b for a, b in zip(labeled._view(mode), g._view(mode)))
 
 
+@pytest.mark.parametrize("host_from", ["generate_ba", "load_edge_list"])
+def test_a_replaced_host_builds_no_views(tmp_path, monkeypatch, host_from):
+    builds = []
+    of = _View.of.__func__
+
+    def counted_of(cls, keys, n):
+        builds.append(n)
+        return of(cls, keys, n)
+
+    monkeypatch.setattr(_View, "of", classmethod(counted_of))
+    if host_from == "generate_ba":
+        host = generate_ba(300, 3, seed=1)
+    else:
+        ends = np.random.default_rng(1).integers(0, 300, (1500, 2)).tolist()
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"u{a},u{b}\n" for a, b in ends))
+        host = load_edge_list(path, directed=True)
+    g, _ = inject_anomalies(host, 30, seed=2)
+    before = g.with_labels({})
+    # the degrees that the edge rows give build nothing either
+    for h in (host, g):
+        for mode in ("in", "out") if h.directed else ("all", "in", "out"):
+            h.degrees(mode)
+    assert builds == []
+
+    g.neighbors(0)
+    assert len(builds) == (3 if g.directed else 1)
+    after = g.with_labels({})
+    for h in (g, before, after):
+        for mode in ("all", "in", "out"):
+            h.neighbors(1, mode)
+            h.degrees(mode)
+    assert len(builds) == (3 if g.directed else 1)
+    assert host._views == {}
+
+
 def test_neighbors_read_only():
     g = build_graph([("a", "b")], directed=False)
     with pytest.raises(ValueError):
@@ -184,6 +221,7 @@ def test_views_match_set_reference_on_random_multigraphs(directed):
                 assert indices.tolist() == [c for s in sets for c in sorted(s)]
                 assert keys.tolist() == [r * k + c for r, s in enumerate(sets) for c in sorted(s)]
                 assert indices.dtype == np.int32
+                assert np.array_equal(h.degrees(mode), np.diff(indptr))
                 assert h.adjacent(rows, cols, mode).tolist() == [
                     int(c) in set(h.neighbors(int(r), mode).tolist()) for r, c in zip(rows, cols)]
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linkanomaly import build_graph, generate_ba, sampling
+from linkanomaly import build_graph, generate_ba, io as edge_io, sampling
 from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyProfile
 from linkanomaly.cli import main
 from linkanomaly.config import ExperimentConfig
@@ -73,9 +74,15 @@ EDGE_LIST_TEXTS = {
 }
 
 
+# slices of one line, of a few lines, and the whole of any text here
+CHUNKS = pytest.mark.parametrize("chunk", [1, 7, edge_io._CHUNK], ids=["1", "7", "default"])
+
+
+@CHUNKS
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("case", sorted(EDGE_LIST_TEXTS))
-def test_load_edge_list_equals_line_loop(tmp_path, case, directed):
+def test_load_edge_list_equals_line_loop(tmp_path, monkeypatch, case, directed, chunk):
+    monkeypatch.setattr(edge_io, "_CHUNK", chunk)
     path = tmp_path / "g.txt"
     path.write_bytes(EDGE_LIST_TEXTS[case].encode("utf-8"))
     try:
@@ -111,9 +118,12 @@ def _lines(line):
 # them); the other half mix in any line over the same characters
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@CHUNKS
 @given(text=st.one_of(_lines(_EDGE_LINE), _lines(st.one_of(_EDGE_LINE, _ANY_LINE))),
        directed=st.booleans())
-def test_load_edge_list_equals_line_loop_on_any_small_text(tmp_path, text, directed):
+def test_load_edge_list_equals_line_loop_on_any_small_text(tmp_path, monkeypatch, chunk, text,
+                                                           directed):
+    monkeypatch.setattr(edge_io, "_CHUNK", chunk)
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("utf-8"))
     try:
@@ -127,6 +137,30 @@ def test_load_edge_list_equals_line_loop_on_any_small_text(tmp_path, text, direc
     assert g.names == names
     assert g.edges.tolist() == [list(e) for e in edges]
     assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, dups)
+
+
+def test_load_edge_list_holds_a_slice_of_names_at_a_time(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    ends = rng.integers(0, 20000, (60000, 2))
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"u{a:05d},u{b:05d}\n" for a, b in ends.tolist()))
+    monkeypatch.setattr(edge_io, "_CHUNK", 1 << 16)
+    tracemalloc.start()
+    try:
+        g = load_edge_list(path, directed=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == len(np.unique(ends))
+    # the whole file's names held as strings at once come to about 19 times its size
+    assert peak < 10 * path.stat().st_size
+
+
+def test_write_edge_list_bytes(tmp_path):
+    g = build_graph([("b", "a"), ("c", "a"), ("a", "b")], directed=True)
+    path = tmp_path / "g.csv"
+    write_edge_list(g, path, comment="two\nlines")
+    assert path.read_bytes() == b"# two\n# lines\na,b\nb,a\nc,a\n"
 
 
 def test_edge_list_roundtrip(tmp_path):
