@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .features import extract_feature_matrix, feature_names
 from .forest import LinkForest
 from .graph import Graph
 
-DIRECTION_MODES = ("out", "in", "all")
 RANK_ORDERS = ("desc", "asc")
 
 
@@ -37,8 +36,7 @@ class VertexAnomalyProfile:
     edge_count: int
 
     def value(self, name: str) -> float:
-        if name not in META_FEATURE_NAMES:
-            raise ParameterError(f"unknown meta-feature {name!r}; expected one of {META_FEATURE_NAMES}")
+        _check_meta_feature(name)
         return float(getattr(self, name))
 
     def as_row(self) -> np.ndarray:
@@ -46,7 +44,14 @@ class VertexAnomalyProfile:
 
 
 META_FEATURE_NAMES = tuple(f.name for f in fields(VertexAnomalyProfile)[1:])
+# the int fields are the whole-number meta-features
+META_FEATURE_TYPES = tuple(get_type_hints(VertexAnomalyProfile)[name] for name in META_FEATURE_NAMES)
 _meta_values = attrgetter(*META_FEATURE_NAMES)
+
+
+def _check_meta_feature(name: str) -> None:
+    if name not in META_FEATURE_NAMES:
+        raise ParameterError(f"unknown meta-feature {name!r}; expected one of {META_FEATURE_NAMES}")
 
 
 def _score_edges(forest: LinkForest, g: Graph, vertices: Sequence[int], mode: str
@@ -56,8 +61,6 @@ def _score_edges(forest: LinkForest, g: Graph, vertices: Sequence[int], mode: st
     The edges of all vertices are featurized and scored in one batch; the
     neighbors and probabilities are concatenated in vertex order.
     """
-    if mode not in DIRECTION_MODES:
-        raise ParameterError(f"direction mode must be one of {DIRECTION_MODES}, got {mode!r}")
     if forest.feature_names is not None and forest.feature_names != feature_names(g.directed):
         raise ShapeError(
             "forest was trained on a different feature set than this graph mode provides")
@@ -146,10 +149,8 @@ def profile_vertices(forest: LinkForest, g: Graph, vertices: Iterable[int],
             block.mean(axis=1), block.std(axis=1), label_sums, label_sums / d,
             labels.std(axis=1), (ordered[:, (d - 1) // 2] + ordered[:, d // 2]) / 2,
             np.full(len(rows), d)))
-    profiles = [VertexAnomalyProfile(v, mean, std, int(label_sum), label_mean, label_std,
-                                     median, int(d))
-                for v, (mean, std, label_sum, label_mean, label_std, median, d)
-                in zip(kept.tolist(), stats.tolist())]
+    columns = [column.astype(kind).tolist() for kind, column in zip(META_FEATURE_TYPES, stats.T)]
+    profiles = list(map(VertexAnomalyProfile, kept.tolist(), *columns))
     return profiles, skipped
 
 
@@ -161,8 +162,7 @@ def rank_vertices(profiles: Sequence[VertexAnomalyProfile], by: str,
     features.  A NaN value has no place in this order; profiles read from
     a file cannot hold one (`io.load_profiles_csv` rejects it).
     """
-    if by not in META_FEATURE_NAMES:
-        raise ParameterError(f"unknown meta-feature {by!r}; expected one of {META_FEATURE_NAMES}")
+    _check_meta_feature(by)
     if order not in RANK_ORDERS:
         raise ParameterError(f"order must be one of {RANK_ORDERS}, got {order!r}")
     sign = -1.0 if order == "desc" else 1.0

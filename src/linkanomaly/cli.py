@@ -15,14 +15,13 @@ import sys
 from pathlib import Path
 
 from . import io
-from .anomaly import (DIRECTION_MODES, META_FEATURE_NAMES, RANK_ORDERS, profile_vertices,
-                      rank_vertices)
+from .anomaly import META_FEATURE_NAMES, RANK_ORDERS, profile_vertices, rank_vertices
 from .config import ExperimentConfig, load_config
 from .errors import LinkAnomalyError, ParameterError
 from .evaluation import injection_count, run_experiment
 from .features import feature_names
 from .forest import ForestParams, LinkForest, train_forest
-from .graph import ANOMALOUS
+from .graph import ANOMALOUS, DIRECTION_MODES
 from .sampling import build_link_training_set, generate_ba, inject_anomalies
 
 log = logging.getLogger("linkanomaly")
@@ -221,10 +220,7 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(message)s")
         _log_params(args.command, args)
         return args.func(args)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParameterError, FileNotFoundError, IsADirectoryError) as e:
+    except (_UsageError, ParameterError, FileNotFoundError, IsADirectoryError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except LinkAnomalyError as e:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .anomaly import DIRECTION_MODES
 from .errors import ParameterError, ParseError, named_decode_error
 from .forest import ForestParams
+from .graph import DIRECTION_MODES
 
 ANOMALY_SOURCES = ("inject", "random", "provided")
 PRECISION_KS = (10, 50, 100, 200, 500)

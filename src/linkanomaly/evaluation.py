@@ -16,8 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import io
-from .anomaly import (META_FEATURE_NAMES, VertexAnomalyProfile, profile_vertices,
-                      rank_vertices)
+from .anomaly import META_FEATURE_NAMES, profile_vertices, rank_vertices
 from .config import PRECISION_KS, ExperimentConfig
 from .errors import (ParameterError, PipelineError, ShapeError,
                      StratificationError, UndefinedMetricError)

@@ -234,9 +234,8 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, params: ForestParams,
         stack.append((rid, idx[~go_left], n1 - left1, depth + 1))
         stack.append((lid, idx[go_left], left1, depth + 1))
 
-    return _Tree(np.array(feature, dtype=np.int32), np.array(threshold),
-                 np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
-                 np.array(count0, dtype=np.int64), np.array(count1, dtype=np.int64))
+    return _Tree(*(np.array(a, dtype=dtype) for a, (_, dtype)
+                   in zip((feature, threshold, left, right, count0, count1), _NODE_ARRAYS)))
 
 
 class LinkForest:

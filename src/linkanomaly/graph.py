@@ -1,8 +1,9 @@
 """Immutable graph with three directional neighbor views over sorted edge keys.
 
-Vertex names are interned to dense integer ids (sorted name order for
-:func:`build_graph`, so the same edge multiset yields an identical graph in
-any input order).  The :class:`Graph` constructor is the one place that
+Vertex names become dense integer ids in one place, :func:`graph_from_names`,
+which :func:`build_graph` and the edge-list loader both call: ids go in
+sorted name order, so the same edge multiset yields an identical graph in
+any input order.  The :class:`Graph` constructor is the one place that
 cleans id rows: it drops self-loops and duplicates, counting both, and puts
 undirected rows in (min, max) form.  Each neighbor view (all, in, out)
 is one ascending int64 array of edge keys `row * n + col`, from which its
@@ -26,7 +27,7 @@ from .errors import ParameterError, ParseError, UnknownVertexError
 NORMAL = 0
 ANOMALOUS = 1
 
-_MODES = ("all", "in", "out")
+DIRECTION_MODES = ("out", "in", "all")
 
 
 class _View(NamedTuple):
@@ -104,7 +105,7 @@ class Graph:
         u, v = self._edges[:, 0], self._edges[:, 1]
         degrees = {"out": np.bincount(u, minlength=n), "in": np.bincount(v, minlength=n)}
         if not directed:
-            degrees = dict.fromkeys(_MODES, degrees["out"] + degrees["in"])
+            degrees = dict.fromkeys(DIRECTION_MODES, degrees["out"] + degrees["in"])
         for d in degrees.values():
             d.setflags(write=False)
         self._degrees = degrees
@@ -161,8 +162,8 @@ class Graph:
     # -- neighbor views -----------------------------------------------------
 
     def _view(self, mode: str) -> _View:
-        if mode not in _MODES:
-            raise ParameterError(f"unknown neighbor mode {mode!r}; expected one of {_MODES}")
+        if mode not in DIRECTION_MODES:
+            raise ParameterError(f"direction mode must be one of {DIRECTION_MODES}, got {mode!r}")
         if not self._views:
             self._views.update(self._build_views())
         return self._views[mode]
@@ -172,7 +173,7 @@ class Graph:
         u, v = self._edges[:, 0], self._edges[:, 1]
         out = u * n + v  # ascending, as the rows are
         if not self.directed:
-            return dict.fromkeys(_MODES, _View.of(np.sort(np.concatenate([out, v * n + u])), n))
+            return dict.fromkeys(DIRECTION_MODES, _View.of(np.sort(np.concatenate([out, v * n + u])), n))
         into = np.sort(v * n + u)
         return {"out": _View.of(out, n), "in": _View.of(into, n),
                 "all": _View.of(_sorted_unique(np.concatenate([out, into])), n)}
@@ -251,19 +252,16 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.directed != other.directed or sorted(self._names) != sorted(other._names):
-            return False
-        mine = {(self._names[a], self._names[b]) for a, b in self._edges}
-        theirs = {(other._names[a], other._names[b]) for a, b in other._edges}
-        if self.directed:
-            if mine != theirs:
-                return False
-        else:
-            canon = lambda s: {tuple(sorted(e)) for e in s}
-            if canon(mine) != canon(theirs):
-                return False
-        return all(self.label_of(self.id_of(n)) == other.label_of(other.id_of(n))
-                   for n in self._names)
+        return self._by_name() == other._by_name()
+
+    def _by_name(self) -> tuple:
+        """Direction, label per name and edges as name pairs: what equality compares."""
+        names = self._names
+        labels = [NORMAL] * len(names) if self._labels is None else self._labels.tolist()
+        edges = {(names[a], names[b]) for a, b in self._edges.tolist()}
+        if not self.directed:
+            edges = {tuple(sorted(e)) for e in edges}
+        return self.directed, dict(zip(names, labels)), edges
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
@@ -286,25 +284,27 @@ def build_graph(edge_list: Iterable[tuple[str, str]], directed: bool) -> Graph:
         if not isinstance(a, str) or not isinstance(b, str) or not a or not b:
             raise ParseError(f"entry {i + 1}: expected two non-empty names, got {pair!r}")
         endpoints += (a, b)
-    if not endpoints:
+    return graph_from_names([endpoints], directed)
+
+
+def graph_from_names(slices: Iterable[Sequence[str]], directed: bool) -> Graph:
+    """The graph of a run of valid vertex names given in slices, names 2i and
+    2i + 1 of the run being an edge; ids go in sorted name order.
+
+    Each slice is interned as it comes and is not held while the next one
+    is made.
+    """
+    first_seen: dict[str, int] = {}  # each name's first position in the run
+    positions, count = [], 0
+    for names in slices:
+        positions.append(np.fromiter(map(first_seen.setdefault, names, itertools.count(count)),
+                                     dtype=np.int64, count=len(names)))
+        count += len(names)
+        del names  # freed before the next slice is made
+    if not count:
         raise ParameterError("edge list is empty")
-    first_seen: dict[str, int] = {}
-    return graph_from_interned(first_seen, [intern_names(endpoints, first_seen, 0)], directed)
-
-
-def intern_names(names: Sequence[str], first_seen: dict[str, int], start: int) -> np.ndarray:
-    """Where each name first occurs in a run of names that reaches `names` at
-    position `start`; `first_seen` holds that position per name and gains the new ones."""
-    return np.fromiter(map(first_seen.setdefault, names, itertools.count(start)),
-                       dtype=np.int64, count=len(names))
-
-
-def graph_from_interned(first_seen: dict[str, int], positions: list[np.ndarray],
-                        directed: bool) -> Graph:
-    """:func:`build_graph` of a run of valid names that :func:`intern_names` took in
-    slices: names 2i and 2i + 1 are an edge, and ids go in sorted name order."""
     names = sorted(first_seen)
-    rank = np.empty(sum(map(len, positions)), dtype=np.int64)
+    rank = np.empty(count, dtype=np.int64)
     rank[np.fromiter(map(first_seen.__getitem__, names), dtype=np.int64,
                      count=len(names))] = np.arange(len(names))
     ids = rank[np.concatenate(positions)]

@@ -14,13 +14,13 @@ import math
 import re
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, get_type_hints
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .anomaly import META_FEATURE_NAMES, VertexAnomalyProfile
+from .anomaly import META_FEATURE_NAMES, META_FEATURE_TYPES, VertexAnomalyProfile
 from .errors import ParseError, named_decode_error
-from .graph import Graph, graph_from_interned, intern_names
+from .graph import Graph, graph_from_names
 from .sampling import InjectionRecord, TestSet
 
 _LABEL_TOKENS = {"0": 0, "1": 1, "normal": 0, "anomalous": 1}
@@ -39,24 +39,27 @@ _OTHER_LINE = re.compile(r"\n(?![^\S\n]*[^\s#]\S*[^\S\n]+\S+[^\S\n]*(?:\n|\Z))")
 
 def load_edge_list(path, directed: bool) -> Graph:
     """Parse an edge-list file into a graph, one slice of lines at a time."""
+    return graph_from_names(_edge_list_slices(path), directed)
+
+
+def _edge_list_slices(path):
+    """An edge-list file's vertex names, one slice of lines at a time; the
+    file's text is freed once the last slice is out."""
     with named_decode_error(path), open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    first_seen: dict[str, int] = {}
-    positions, start, names_before, lines_before = [], 0, 0, 0
+    start = names_before = lines_before = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK - 1)
         end = len(text) if end < 0 else end + 1
         lines = text[start:end]
-        # the slice's names are freed before the next slice is split
-        positions.append(intern_names(_edge_list_names(lines, path, lines_before),
-                                      first_seen, names_before))
-        names_before += len(positions[-1])
+        names = _edge_list_names(lines, path, lines_before)
+        names_before += len(names)
+        yield names
+        del names  # freed before the next slice is split
         lines_before += lines.count("\n")
         start = end
-    if not first_seen:
+    if not names_before:
         raise ParseError(f"{path}: no edges found")
-    del text, lines  # not held while the graph is built
-    return graph_from_interned(first_seen, positions, directed)
 
 
 def _edge_list_names(text: str, path, lines_before: int) -> list[str]:
@@ -156,10 +159,6 @@ def write_profiles_csv(path, profiles: Iterable[VertexAnomalyProfile], g: Graph)
                 for v, *values in map(fields, profiles)))
 
 
-# the profile's int fields are its whole-number columns
-_PROFILE_TYPES = tuple(get_type_hints(VertexAnomalyProfile)[name] for name in META_FEATURE_NAMES)
-
-
 def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
     """Read profiles back in file order; profile i has vertex id i.
 
@@ -177,12 +176,12 @@ def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:
             values = [float(x) for x in row[1:]]
         except ValueError as e:
             raise ParseError(f"{path}:{line}: {e}") from None
-        for name, kind, x, text in zip(META_FEATURE_NAMES, _PROFILE_TYPES, values, row[1:]):
+        for name, kind, x, text in zip(META_FEATURE_NAMES, META_FEATURE_TYPES, values, row[1:]):
             if not (x.is_integer() if kind is int else math.isfinite(x)):
                 must = "a whole number" if kind is int else "finite"
                 raise ParseError(f"{path}:{line}: {name} must be {must}, got {text!r}")
         entries.append((row[0], VertexAnomalyProfile(
-            len(entries), *(kind(x) for kind, x in zip(_PROFILE_TYPES, values)))))
+            len(entries), *(kind(x) for kind, x in zip(META_FEATURE_TYPES, values)))))
     return entries
 
 

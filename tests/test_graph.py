@@ -40,6 +40,27 @@ def test_empty_edge_list_rejected():
         build_graph([], directed=False)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_graph_equality_is_by_name(directed):
+    names = ["a", "b", "c", "d"]
+    edges = np.array([[0, 1], [1, 2], [2, 0], [0, 3]])
+    labels = np.array([0, 1, 0, 0])
+    g = Graph(names, edges, directed, labels=labels)
+    new_id = np.array([2, 0, 3, 1])  # vertex i gets id new_id[i]
+    permuted = [names[i] for i in np.argsort(new_id)]
+    assert Graph(permuted, new_id[edges], directed, labels=labels[np.argsort(new_id)]) == g
+
+    assert Graph(names, edges, directed) != g  # b is anomalous only in g
+    assert Graph(names, edges, directed, labels=[1, 1, 0, 0]) != g
+    reversed_edge = edges.copy()
+    reversed_edge[0] = [1, 0]
+    assert (Graph(names, reversed_edge, directed, labels=labels) == g) is not directed
+    assert Graph(names + ["e"], edges, directed, labels=[*labels, 0]) != g
+    isolated = Graph(names + ["e"], edges, directed)
+    assert Graph(names + ["f"], edges, directed) != isolated
+    assert Graph(names + ["e"], edges, directed) == isolated
+
+
 def test_neighbor_modes_directed():
     g = build_graph([("v", "u")], directed=True)
     v, u = g.id_of("v"), g.id_of("u")

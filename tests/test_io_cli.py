@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linkanomaly import build_graph, generate_ba, io as edge_io, sampling
+from linkanomaly import build_graph, forest, generate_ba, io as edge_io, sampling
 from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyProfile
 from linkanomaly.cli import main
 from linkanomaly.config import ExperimentConfig
@@ -725,3 +726,65 @@ def test_cli_rank_negative_top_is_a_usage_error(tmp_path, score_inputs, capsys):
     rows = len(load_profiles_csv(profiles))
     assert main(["-q", "rank", "--profiles", str(profiles), "--top", str(rows)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == rows + 1
+
+
+# -- pinned output bytes ------------------------------------------------------------------
+
+
+# Steps of a CLI chain whose outputs never pass through np.log: undirected
+# train-link and score (Adamic-Adar) and evaluate (info gain) do, and
+# np.log's SIMD paths may differ by CPU or numpy version, so those stay
+# unpinned.  The link fit's 600 rows x 20 trees are over the fork floor.
+_CHAIN = (
+    ("generate", "--n", "2000", "--m", "3", "--seed", "1", "--out", "host.edges"),
+    ("inject", "--graph", "host.edges", "--seed", "2", "--out", "undirected.edges",
+     "--labels-out", "undirected_labels.csv", "--record-out", "undirected_record.csv"),
+    ("inject", "--graph", "host.edges", "--directed", "--seed", "3", "--out", "directed.edges",
+     "--labels-out", "directed_labels.csv", "--record-out", "directed_record.csv"),
+    ("train-link", "--graph", "directed.edges", "--directed", "--size", "300", "--trees", "20",
+     "--seed", "4", "--model-out", "model.json"),
+    ("score", "--graph", "directed.edges", "--directed", "--model", "model.json",
+     "--vertices", "vertices.txt", "--out", "profiles.csv"),
+    ("rank", "--profiles", "profiles.csv", "--top", "20"),
+)
+
+_CHAIN_DIGESTS = {
+    "host.edges": "e2af48621c9da7de802d801ef090f367a1a33930196f3cf2795e434c81fa041f",
+    "undirected.edges": "f0052fa1605f17f263f63e4af3a6dea8250af2523d18ee80daf38778ecc0169b",
+    "undirected_labels.csv": "1929b0dabcbea134036d7cde505cbc0d81f7778db53853b57122db7a3473026c",
+    "undirected_record.csv": "7ff621df45116d4f2aa516f695b6436dc2f0aabcc3491d4e6055de3dff198ec3",
+    "directed.edges": "f9ac71be407ba7a9abf829d2ca0e9728b65d44a713547346da0117e895365ffa",
+    "directed_labels.csv": "1929b0dabcbea134036d7cde505cbc0d81f7778db53853b57122db7a3473026c",
+    "directed_record.csv": "1fe21a59ddbe87f481a1c672905b1ac46df3868bf8708d87a2ab3802dcf65810",
+    "model.json": "266f3ccc89a05169e5ca9cdd733b92efc1f98866da5749f7955e05150c881e4a",
+    "profiles.csv": "9b7ae99e1fb5a6ccc58841f3cb31b5e15a53de210dce7f3e8c6af619ec845526",
+    "rank": "b8048127580f3c210ca03b717d28b2eb84008a83676bc4dfd93f537f54cea5c5",
+}
+
+
+def _chain_digests(capsys) -> dict[str, str]:
+    """sha256 of each file the chain writes and of `rank`'s output; paths are
+    relative because `inject` writes its input path into its edge list."""
+    for step in _CHAIN:
+        if step[0] == "score":
+            names = load_edge_list("directed.edges", directed=True).names[::10]
+            Path("vertices.txt").write_text("".join(f"{name}\n" for name in names))
+        capsys.readouterr()
+        assert main(["-q", *step]) == 0, capsys.readouterr().err
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in _CHAIN_DIGESTS if name != "rank"}
+    digests["rank"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return digests
+
+
+def test_cli_chain_writes_these_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _chain_digests(capsys) == _CHAIN_DIGESTS
+
+
+def test_cli_chain_digests_see_a_threshold_one_ulp_up(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    threshold = forest._threshold
+    monkeypatch.setattr(forest, "_threshold",
+                        lambda below, above: float(np.nextafter(threshold(below, above), np.inf)))
+    assert _chain_digests(capsys)["model.json"] != _CHAIN_DIGESTS["model.json"]
