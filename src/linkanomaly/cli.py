@@ -220,7 +220,7 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(message)s")
         _log_params(args.command, args)
         return args.func(args)
-    except (_UsageError, ParameterError, FileNotFoundError, IsADirectoryError) as e:
+    except (_UsageError, ParameterError, OSError) as e:  # OSError: a path that cannot be used
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except LinkAnomalyError as e:

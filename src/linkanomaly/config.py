@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import ParameterError, ParseError, named_decode_error
 from .forest import ForestParams
 from .graph import DIRECTION_MODES
+from .rng import seed_key
 
 ANOMALY_SOURCES = ("inject", "random", "provided")
 PRECISION_KS = (10, 50, 100, 200, 500)
@@ -84,6 +85,7 @@ class ExperimentConfig:
                     "run_count"):
             if getattr(self, key) < 1:
                 raise ParameterError(f"{key} must be positive")
+        seed_key(self.master_seed)  # raises on a negative seed
         if self.min_friends < 0:
             raise ParameterError("min_friends must be >= 0")
         if self.link_holdout_per_class < 0:

@@ -184,29 +184,19 @@ def _threshold(below: float, above: float) -> float:
 
 
 def _grow_tree(XT: np.ndarray, y: np.ndarray, params: ForestParams,
-               mtry: int, rng: np.random.Generator) -> _Tree:
+               rng: np.random.Generator) -> _Tree:
     """One tree on `XT`, the (features, rows) transpose of X, and boolean labels `y`."""
     d, n = XT.shape
+    mtry = min(params.features_per_split or int(np.ceil(np.sqrt(d))), d)
     boot = rng.integers(0, n, n)
-    feature, threshold = [], []
-    left, right = [], []
-    count0, count1 = [], []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        count0.append(0)
-        count1.append(0)
-        return len(feature) - 1
-
-    # a node's positive count comes from its parent's chosen cut
-    stack = [(new_node(), boot, int(y[boot].sum()), 0)]
+    # one row per node in `_NODE_ARRAYS` order, a leaf's until the node
+    # splits; a node's positive count comes from its parent's chosen cut
+    nodes = [[-1, 0.0, -1, -1, 0, 0]]
+    stack = [(0, boot, int(y[boot].sum()), 0)]
     while stack:
         node, idx, n1, depth = stack.pop()
         n0 = len(idx) - n1
-        count0[node], count1[node] = n0, n1
+        nodes[node][4:] = n0, n1
         if (n0 == 0 or n1 == 0 or len(idx) < 2 * params.min_leaf_size
                 or (params.max_depth is not None and depth >= params.max_depth)):
             continue
@@ -227,15 +217,14 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, params: ForestParams,
             continue
         _, f, thr = best
         go_left = XT[f].take(idx) <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = lid = new_node()
-        right[node] = rid = new_node()
-        stack.append((rid, idx[~go_left], n1 - left1, depth + 1))
+        lid = len(nodes)  # the left child, then the right at lid + 1
+        nodes[node][:4] = f, thr, lid, lid + 1
+        nodes += [-1, 0.0, -1, -1, 0, 0], [-1, 0.0, -1, -1, 0, 0]
+        stack.append((lid + 1, idx[~go_left], n1 - left1, depth + 1))
         stack.append((lid, idx[go_left], left1, depth + 1))
 
-    return _Tree(*(np.array(a, dtype=dtype) for a, (_, dtype)
-                   in zip((feature, threshold, left, right, count0, count1), _NODE_ARRAYS)))
+    return _Tree(*(np.array(column, dtype=dtype)
+                   for column, (_, dtype) in zip(zip(*nodes), _NODE_ARRAYS)))
 
 
 class LinkForest:
@@ -281,7 +270,7 @@ class LinkForest:
         try:
             with named_decode_error(path):
                 doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad JSON, an over-long number, deep nesting
             raise ShapeError(f"{path}: not a forest file ({e})") from None
         if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:
             raise ShapeError(f"{path}: not a {FOREST_FORMAT} file")
@@ -290,8 +279,8 @@ class LinkForest:
         try:
             n_features, names, trees = doc["n_features"], doc["feature_names"], doc["trees"]
             params = ForestParams(**doc["params"])
-            seed = tuple(doc["seed"])
-        except (KeyError, TypeError) as e:
+            seed = seed_key(doc["seed"])
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ShapeError(f"{path}: malformed forest header ({e!r})") from None
         if type(n_features) is not int or n_features < 1:
             raise ShapeError(f"{path}: n_features must be a positive integer, got {n_features!r}")
@@ -356,9 +345,8 @@ def train_forests(fits: Sequence[tuple], params: ForestParams,
     """
     params.validate()
     prepared = [(*_canonical(X, y), seed_key(seed)) for X, y, seed in fits]
-    return [LinkForest(trees, params, seed, XT.shape[0], feature_names)
-            for trees, (XT, _, _), (_, _, seed) in zip(_grow_trees(prepared, params),
-                                                       prepared, fits)]
+    return [LinkForest(trees, params, key, XT.shape[0], feature_names)
+            for trees, (XT, _, key) in zip(_grow_trees(prepared, params), prepared)]
 
 
 def _canonical(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -406,12 +394,8 @@ def _grow_trees(fits: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]],
     workers = _worker_count(len(jobs), count * sum(len(y) for _, y, _ in fits))
 
     def grow(chunk: int) -> list[_Tree]:
-        trees = []
-        for (XT, y, key), t in jobs[chunk::workers]:
-            d = XT.shape[0]
-            mtry = min(params.features_per_split or int(np.ceil(np.sqrt(d))), d)
-            trees.append(_grow_tree(XT, y, params, mtry, generator(key, t)))
-        return trees
+        return [_grow_tree(XT, y, params, generator(key, t))
+                for (XT, y, key), t in jobs[chunk::workers]]
 
     chunks = {}
     pipes = {}  # pid -> (chunk, read end of its pipe)

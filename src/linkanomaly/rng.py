@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def seed_key(seed) -> tuple[int, ...]:
-    """Normalize an int or int-sequence seed to a tuple of ints."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    """Normalize an int or int-sequence seed to a tuple of non-negative ints."""
+    key = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
+    if any(s < 0 for s in key):
+        raise ParameterError(f"a seed must be >= 0, got {seed}")
+    return key
 
 
 def generator(seed, *substream: int) -> np.random.Generator:

@@ -183,9 +183,7 @@ def _batch():
 
 
 def _serial_grow_trees(fits, params):
-    def mtry(d):
-        return min(params.features_per_split or int(np.ceil(np.sqrt(d))), d)
-    return [[forest._grow_tree(XT, y, params, mtry(XT.shape[0]), generator(key, t))
+    return [[forest._grow_tree(XT, y, params, generator(key, t))
              for t in range(params.tree_count)] for XT, y, key in fits]
 
 
@@ -264,7 +262,7 @@ def test_grow_tree_equals_per_feature_argsort_engine(variant):
     params = ForestParams(tree_count=1, **variant)
     mtry = params.features_per_split or 3
     for t in range(6):
-        tree = forest._grow_tree(XT, y.astype(bool), params, mtry, generator((3, 4), t))
+        tree = forest._grow_tree(XT, y.astype(bool), params, generator((3, 4), t))
         reference = grow_tree_reference(X, y, params, mtry, generator((3, 4), t))
         ours = tuple(getattr(tree, name).tolist() for name, _ in forest._NODE_ARRAYS)
         assert ours == reference
@@ -371,10 +369,10 @@ def _failing_grow_tree(fail_tree, action):
     """`_grow_tree` that first runs `action` for the tree whose stream is `fail_tree`."""
     grow = forest._grow_tree
 
-    def grow_or_fail(XT, y, params, mtry, rng):
+    def grow_or_fail(XT, y, params, rng):
         if tuple(rng.bit_generator.seed_seq.entropy) == fail_tree:
             action()
-        return grow(XT, y, params, mtry, rng)
+        return grow(XT, y, params, rng)
     return grow_or_fail
 
 

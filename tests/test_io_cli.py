@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from linkanomaly import build_graph, forest, generate_ba, io as edge_io, sampling
 from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyProfile
 from linkanomaly.cli import main
-from linkanomaly.config import ExperimentConfig
-from linkanomaly.errors import ParseError
+from linkanomaly.config import ExperimentConfig, load_config, parse_config_text
+from linkanomaly.errors import LinkAnomalyError, ParameterError, ParseError, ShapeError
 from linkanomaly.evaluation import injection_count
 from linkanomaly.graph import Graph
 from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv, write_edge_list,
@@ -357,6 +357,31 @@ def test_cli_bad_config_value(tmp_path):
     assert main(["-q", "evaluate", "--config", str(config)]) == 1
 
 
+_CONFIG_VALUE = st.one_of(
+    st.sampled_from(["", "none", "true", "no", "-1", "0", "1", "3", "0.5", "nan", "-inf", "1e400",
+                     "9" * 5000, str(10 ** 4000), "out", "inject", "random", "provided"]),
+    st.text(max_size=6))
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(sorted(asdict(ExperimentConfig())) + ["unknown"]),
+              st.sampled_from(["=", " = ", "=="]), _CONFIG_VALUE).map("".join),
+    st.text(max_size=10))
+
+
+# huge values (ba_n, tree_count) meet only validation here: nothing is run
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.lists(_CONFIG_LINE, max_size=8).map("\n".join))
+def test_config_text_gives_a_config_or_a_named_error(tmp_path, text):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(text.encode("utf-8"))
+    for parse in (lambda: parse_config_text(text), lambda: load_config(path)):
+        try:
+            config = parse()
+        except LinkAnomalyError:
+            continue
+        assert isinstance(config, ExperimentConfig)
+
+
 # -- damaged forest files ------------------------------------------------------------
 
 
@@ -404,6 +429,9 @@ DAMAGE = {
     "feature_names_too_short": lambda doc, t: doc["feature_names"].pop(),
     "node_array_not_numbers": lambda doc, t: t.__setitem__("threshold", ["x"] * len(t["feature"])),
     "no_trees": lambda doc, t: doc.__setitem__("trees", []),
+    # a seed that is not a list of non-negative integers loaded as it was
+    "seed_not_integers": lambda doc, t: doc.__setitem__("seed", ["x"]),
+    "negative_seed": lambda doc, t: doc.__setitem__("seed", [-1]),
 }
 
 
@@ -428,6 +456,72 @@ def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
                            "--vertices", vertices, "--out", tmp_path / "p.csv")
     assert done.returncode == 2, done.stderr
     assert "data error" in done.stderr
+
+
+# the json module raises RecursionError on deep nesting and ValueError on a
+# number of over 4,300 digits, neither of them a JSONDecodeError
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a":' * 200_000, "9" * 5000],
+                         ids=["nested_arrays", "nested_objects", "long_number"])
+def test_cli_score_on_unparsable_forest_is_a_data_error(tmp_path, score_inputs, text, capsys):
+    graph, vertices, _ = score_inputs
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    assert main(["-q", "score", "--graph", str(graph), "--model", str(model),
+                 "--vertices", str(vertices), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{model}: not a forest file" in err
+
+
+_JSON_VALUES = st.sampled_from([None, True, -2, -1, 0, 1, 2 ** 31, 2 ** 63, 2 ** 70, 0.5, -0.0,
+                                float("nan"), float("inf"), "", "x", [], [0], [[0]], {}])
+# a value's JSON text -> the text put in its place
+_REWRITES = st.one_of(
+    st.sampled_from([2, 60, 990, 100_000]).map(lambda k: lambda t: "[" * k + t + "]" * k),
+    st.sampled_from([2, 60, 990, 100_000]).map(lambda k: lambda t: '{"a":' * k + t + "}" * k),
+    st.sampled_from(["9" * 5000, "1e999", "NaN", "-Infinity", "01", '"\\ud800"']).map(
+        lambda text: lambda t: text))
+_STAND_IN = "\x00mutated\x00"
+
+
+def _mutated_forest_text(data, doc) -> str:
+    """The JSON text of `doc` after one drawn mutation, at a drawn value or text offset."""
+    box = [doc]
+    container, key = box, 0  # the value to mutate is container[key]
+    while isinstance(value := container[key], (dict, list)) and value and data.draw(st.booleans()):
+        keys = list(value) if isinstance(value, dict) else range(len(value))
+        container, key = value, data.draw(st.sampled_from(keys))
+    kind = data.draw(st.sampled_from(["set", "delete", "rewrite", "cut", "insert"]))
+    if kind == "set":
+        container[key] = data.draw(_JSON_VALUES)
+    elif kind == "delete":
+        del container[key]
+    elif kind == "rewrite":
+        value, container[key] = json.dumps(container[key]), _STAND_IN
+        return json.dumps(box[0]).replace(json.dumps(_STAND_IN), data.draw(_REWRITES)(value), 1)
+    text = json.dumps(box[0]) if box else ""
+    at = data.draw(st.integers(0, len(text)))
+    if kind == "cut":
+        return text[:at]
+    if kind == "insert":
+        return text[:at] + data.draw(st.sampled_from('[]{}",:-.0e ')) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_forest_file_after_any_small_mutation_loads_or_raises_shape_error(tmp_path, score_inputs,
+                                                                         data):
+    doc = json.loads(json.dumps(score_inputs[2]))
+    path = tmp_path / "model.json"
+    path.write_text(_mutated_forest_text(data, doc), encoding="utf-8")
+    try:
+        f = forest.LinkForest.load(path)
+    except ShapeError:
+        return
+    if f.n_features <= 16:  # a huge n_features is checked, never run
+        p = f.predict_proba_many(np.zeros((2, f.n_features)))
+        assert ((p >= 0) & (p <= 1)).all()
 
 
 # -- undecodable and out-of-range input ---------------------------------------------
@@ -712,6 +806,50 @@ def test_cli_train_link_size_below_one_is_a_usage_error(tmp_path, score_inputs, 
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "inject", "train-link"])
+def test_cli_negative_seed_is_a_usage_error(tmp_path, score_inputs, command, capsys):
+    graph, _, _ = score_inputs
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--n", "50", "--m", "2", "--out", str(out)],
+            "inject": ["inject", "--graph", str(graph), "--out", str(out),
+                       "--labels-out", str(tmp_path / "l.csv")],
+            "train-link": ["train-link", "--graph", str(graph), "--size", "10",
+                           "--model-out", str(out)]}[command]
+    assert main(["-q", *argv, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "a seed must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+def test_negative_master_seed_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("ba_n = 100\nba_m = 2\nmaster_seed = -1\n")
+    with pytest.raises(ParameterError, match="a seed must be >= 0, got -1"):
+        load_config(config)
+    report = tmp_path / "r.json"
+    assert main(["-q", "evaluate", "--config", str(config), "--set", "master_seed=-5",
+                 "--report-out", str(report), "--pk-out", str(tmp_path / "pk.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "a seed must be >= 0, got -5" in err
+    assert not report.exists()
+
+
+# the permission case (PermissionError) takes the same path; it cannot be set
+# up for a test run as root, so only a path through a regular file is tested
+@pytest.mark.parametrize("flag", ["generate --out", "inject --graph"])
+def test_cli_path_through_a_regular_file_is_a_usage_error(tmp_path, flag, capsys):
+    file = tmp_path / "file"
+    file.write_text("a,b\n")
+    argv = {"generate --out": ["generate", "--n", "50", "--m", "2",
+                               "--out", str(file / "x.edges")],
+            "inject --graph": ["inject", "--graph", str(file / "x"),
+                               "--out", str(tmp_path / "o"),
+                               "--labels-out", str(tmp_path / "l.csv")]}[flag]
+    assert main(["-q", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Not a directory" in err
+
+
 def test_cli_rank_negative_top_is_a_usage_error(tmp_path, score_inputs, capsys):
     graph, vertices, _ = score_inputs
     model, profiles = tmp_path / "model.json", tmp_path / "profiles.csv"
@@ -788,3 +926,50 @@ def test_cli_chain_digests_see_a_threshold_one_ulp_up(tmp_path, monkeypatch, cap
     monkeypatch.setattr(forest, "_threshold",
                         lambda below, above: float(np.nextafter(threshold(below, above), np.inf)))
     assert _chain_digests(capsys)["model.json"] != _CHAIN_DIGESTS["model.json"]
+
+
+# evaluate on a directed host: its features have no Adamic-Adar and info gain
+# goes only into the report, so these two files never pass through np.log
+_DIRECTED_HOST = (
+    ("generate", "--n", "2000", "--m", "3", "--seed", "7", "--out", "host.edges"),
+    ("inject", "--graph", "host.edges", "--directed", "--seed", "8", "--out", "directed.edges",
+     "--labels-out", "directed_labels.csv"),
+)
+
+_DIRECTED_EVALUATE_FILES = ("precision_at_k.csv", "audit/run0_test_set.csv")
+_DIRECTED_EVALUATE_DIGESTS = {  # anomaly_source: the digest of each of those files
+    "inject": ("e03a8257ee56d902c7cc89d944ea8845d98eaa01e6ffa164b005d6add3c12135",
+               "b021d00b031826c8e4e3bba8be4aac86b43d33360c4a1e2956cb79a11ca70089"),
+    "random": ("4cb5dd5e6193983c24beade82105928330ae5e6c95554ab95b3fe8bfd5e85f16",
+               "9d76e7db0d0c639286fe1841c17662a30290f69223fb3fca5a14ded6fc941726"),
+    "provided": ("040c111c4f97fb8b5b9c660e7070bbac4a6cc2160f50c5d2a244bb3cc1c48ec0",
+                 "a430e989ed6a0863a7c3269e575fc68638cf763940f6607c83f55fbcd68a69f4"),
+}
+
+
+@pytest.fixture(scope="module")
+def directed_host(tmp_path_factory):
+    d = tmp_path_factory.mktemp("directed_host")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(d)
+        for step in _DIRECTED_HOST:
+            assert main(["-q", *step]) == 0
+    return d / "directed.edges", d / "directed_labels.csv"
+
+
+# one audit directory per source: every run writes run0_test_set.csv
+@pytest.mark.parametrize("source", sorted(_DIRECTED_EVALUATE_DIGESTS))
+def test_directed_evaluate_writes_these_bytes(tmp_path, monkeypatch, directed_host, source):
+    monkeypatch.chdir(tmp_path)
+    graph, labels = directed_host
+    Path("exp.cfg").write_text(
+        f"graph_path = {graph}\nlabels_path = {labels}\ndirected = true\n"
+        f"anomaly_source = {source}\ntest_positive_count = 20\ntest_negative_count = 80\n"
+        "link_train_size_per_class = 300\nlink_holdout_per_class = 50\n"
+        "tree_count = 20\nmeta_tree_count = 50\nfolds = 5\nrun_count = 1\n")
+    Path("audit").mkdir()
+    assert main(["-q", "evaluate", "--config", "exp.cfg", "--report-out", "report.json",
+                 "--pk-out", "precision_at_k.csv", "--audit-dir", "audit"]) == 0
+    digests = tuple(hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                    for name in _DIRECTED_EVALUATE_FILES)
+    assert digests == _DIRECTED_EVALUATE_DIGESTS[source]
