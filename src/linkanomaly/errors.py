@@ -27,6 +27,9 @@ def named_decode_error(path):
 class UnknownVertexError(LinkAnomalyError, KeyError):
     """Lookup of a vertex id or name that is not in the graph."""
 
+    def __str__(self):  # KeyError's would quote the message
+        return Exception.__str__(self)
+
 
 class InvalidPairError(LinkAnomalyError):
     """A pair feature was requested for v == u."""

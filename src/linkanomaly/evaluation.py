@@ -201,11 +201,12 @@ def _fold_means(folds: list[dict]) -> dict:
 def _stage(name: str):
     """Re-raise an error from the block as a PipelineError naming the stage.
 
-    Only `Exception` is wrapped: an interrupt or exit passes through as is.
+    Only `Exception` is wrapped: an interrupt or exit passes through as is,
+    and so does a bad parameter or unusable path, which the CLI calls a usage error.
     """
     try:
         yield
-    except PipelineError:
+    except (PipelineError, ParameterError, OSError):
         raise
     except Exception as e:
         raise PipelineError(name, e) from e
@@ -268,8 +269,9 @@ def run_experiment(config: ExperimentConfig, audit_dir=None) -> EvaluationReport
 
         with _stage("build-link-training-set"):
             # "selected" keeps only the inspected vertices out of training
-            # (hub neighbors stay trainable); "endpoints" is the stricter
-            # variant that also drops every neighbor seen in the test edges
+            # (hub neighbors stay trainable); "endpoints" also drops the
+            # neighbors that qualified them (TestSet.vertices), so a neighbor
+            # of degree <= min_friends stays trainable
             if config.exclusion_mode == "endpoints":
                 excluded = np.union1d(pos.vertices, neg.vertices)
             else:

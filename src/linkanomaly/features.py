@@ -110,7 +110,7 @@ def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
     batch kernel does, so both give the same bits: numpy adds 8 or more
     terms pairwise, not left to right.  `extract_feature_matrix` is checked
     against this function, so it reads the graph only through `neighbors`,
-    `degree` and `has_edge`.
+    never through the batch queries `degrees`, `adjacent` and `gather_neighbors`.
     """
     _check_pair(g, v, u)
     nv, nu = g.neighbors(v, "all"), g.neighbors(u, "all")
@@ -125,15 +125,15 @@ def extract_edge_features(g: Graph, v: int, u: int) -> EdgeFeatureVector:
         def bi(x: int) -> np.ndarray:
             return _intersect(g.neighbors(x, "in"), g.neighbors(x, "out"))
 
-        wiv, wov = _w(g.degree(v, "in")), _w(g.degree(v, "out"))
-        wiu, wou = _w(g.degree(u, "in")), _w(g.degree(u, "out"))
+        wiv, wov = _w(len(g.neighbors(v, "in"))), _w(len(g.neighbors(v, "out")))
+        wiu, wou = _w(len(g.neighbors(u, "in"))), _w(len(g.neighbors(u, "out")))
         return EdgeFeatureVector(FEATURE_NAMES_DIRECTED, np.array([
             union, common("in", "in"), common("out", "out"), len(_intersect(bi(v), bi(u))),
-            jaccard, pref, common("out", "in"), 1 if g.has_edge(u, v) else 0,
+            jaccard, pref, common("out", "in"), int(v in g.neighbors(u, "out")),
             wiv + wiu, wiv + wou, wov + wiu, wov + wou,
             wiv * wiu, wiv * wou, wov * wiu, wov * wou,
         ], dtype=np.float64))
-    degs = np.array([g.degree(int(w), "all") for w in shared], dtype=np.int64)
+    degs = np.array([len(g.neighbors(int(w), "all")) for w in shared], dtype=np.int64)
     adamic_adar = float(np.sum(1.0 / np.log(degs[degs > 1])))
     wv, wu = _w(len(nv)), _w(len(nu))
     return EdgeFeatureVector(FEATURE_NAMES_UNDIRECTED, np.array([

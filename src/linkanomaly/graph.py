@@ -215,23 +215,12 @@ class Graph:
         rows, cols = self._vertex_ids(rows), self._vertex_ids(cols)
         return _member(self._view(mode).keys, rows * len(self._names) + cols)
 
-    def degree(self, v: int, mode: str = "all") -> int:
-        return len(self.neighbors(v, mode))
-
     def degrees(self, mode: str = "all") -> np.ndarray:
         """Per-vertex neighbor-set sizes; read-only when the edge rows give them
         without a view (every mode when undirected, in and out when directed)."""
         if mode in self._degrees:
             return self._degrees[mode]
         return np.diff(self._view(mode).indptr)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True iff (u, v) is an edge ((u, v) in either order when undirected)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        row = self.neighbors(u, "out")
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
 
     # -- derived graphs -----------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Seed plumbing.
 
-All randomness in the package flows through numpy Generators seeded from
-integer keys.  Composite keys (`seed, stream, index...`) keep independent
-stages on independent deterministic streams, so parallel and serial
-execution of the same stages draw identical values.
+All randomness in the package flows through numpy Generators made from
+seed keys: an int or a sequence of ints, never a live Generator.  Composite
+keys (`seed, stream, index...`) keep independent stages on independent
+deterministic streams, so parallel and serial execution of the same stages
+draw identical values.
 """
 
 from __future__ import annotations
@@ -22,13 +23,5 @@ def seed_key(seed) -> tuple[int, ...]:
 
 
 def generator(seed, *substream: int) -> np.random.Generator:
-    """Generator for `seed` extended by the given substream indices.
-
-    Accepts an existing Generator only when no substream is requested,
-    in which case it is returned unchanged.
-    """
-    if isinstance(seed, np.random.Generator):
-        if substream:
-            raise TypeError("cannot derive a substream from a live Generator")
-        return seed
+    """A fresh Generator for the key `seed` extended by the substream indices."""
     return np.random.default_rng(seed_key(seed) + tuple(int(s) for s in substream))

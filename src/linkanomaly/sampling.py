@@ -169,24 +169,19 @@ def _first_accepted(rng, high: int, width: int, need: int, accept) -> np.ndarray
 
     Attempt i is draws width*i .. width*i + width - 1 of the stream, in [0, high).
     `accept` maps a (k, width) block to (keys, ok): each attempt's int64 key, a
-    function of the attempt alone, and a fresh mask of the accepted ones.  The
-    Generator is left where drawing one attempt at a time to the last kept key would.
+    function of the attempt alone, and a fresh mask of the accepted ones.
     """
     budget = ATTEMPT_FACTOR * need
     kept = np.empty(0, dtype=np.int64)
     attempts = 0
     while len(kept) < need and attempts < budget:
         block = min(budget - attempts, 2 * (need - len(kept)) + 64)
-        state = rng.bit_generator.state
         keys, ok = accept(rng.integers(0, high, size=(block, width)))
         ok[ok] = ~np.isin(keys[ok], kept)
         hits = np.flatnonzero(ok)
         taken = np.sort(hits[np.unique(keys[hits], return_index=True)[1]])[:need - len(kept)]
         kept = np.concatenate([kept, keys[taken]])
         attempts += block
-        if len(kept) == need and taken[-1] + 1 < block:
-            rng.bit_generator.state = state
-            rng.integers(0, high, size=(taken[-1] + 1, width))
     return kept
 
 

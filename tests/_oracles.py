@@ -211,9 +211,9 @@ def ceiling_margin(a, per_class, runs=1):
 #
 # The per-draw and per-line loops that `generate_ba`, `inject_anomalies`,
 # `load_edge_list`, `sample_test_vertices` and `sample_training_pairs`
-# replaced.  Each takes a live Generator (or a path) and returns plain
-# Python values, so a test can compare the array-built outputs, and the
-# stream position a Generator is left at, against them.
+# replaced.  Each takes a path or the Generator that `rng.generator` makes
+# from the stage's seed key, and returns plain Python values, so a test can
+# compare the array-built outputs against them.
 
 
 def ba_loop(n, m, rng):
@@ -372,7 +372,7 @@ def training_pairs_loop(g, excluded, size_per_class, rng):
         if v == u or v in excluded or u in excluded:
             continue
         pair = (v, u) if g.directed else (min(v, u), max(v, u))
-        if pair in seen or g.has_edge(v, u):
+        if pair in seen or u in g.neighbors(v, "out"):
             continue
         seen.add(pair)
         positive_pairs.append(pair)
@@ -468,7 +468,7 @@ def profile_vertices_loop(forest, g, vertices, threshold, mode):
     kept, skipped = [], []
     for v in vertices:
         v = int(v)
-        (kept if g.degree(v, view) else skipped).append(v)
+        (kept if len(g.neighbors(v, view)) else skipped).append(v)
     if not kept:
         return [], skipped
     counts, _, probs = _score_edges(forest, g, kept, mode)

@@ -180,7 +180,7 @@ def test_gather_neighbors_concatenates_in_vertex_order(directed):
     for mode in ("all", "in", "out"):
         vs = [2, 0, 2, 3, 1]
         counts, flat = g.gather_neighbors(vs, mode)
-        assert counts.tolist() == [g.degree(v, mode) for v in vs]
+        assert counts.tolist() == [len(g.neighbors(v, mode)) for v in vs]
         assert flat.tolist() == [int(u) for v in vs for u in g.neighbors(v, mode)]
     counts, flat = g.gather_neighbors([], "all")
     assert len(counts) == 0 and len(flat) == 0

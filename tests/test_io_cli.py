@@ -28,6 +28,7 @@ from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv, writ
                             write_precision_at_k_csv, write_profiles_csv, write_test_set_csv)
 from linkanomaly.rng import generator
 
+import _cli_chain
 from _oracles import edge_list_loop, inject_loop
 
 
@@ -615,7 +616,7 @@ def test_cli_score_checks_threshold_when_no_vertex_has_edges(tmp_path, threshold
     assert main(["-q", "train-link", "--graph", str(graph), "--directed", "--size", "40",
                  "--trees", "3", "--model-out", str(model)]) == 0
     g = load_edge_list(graph, directed=True)
-    sinks = [name for v, name in enumerate(g.names) if g.degree(v, "out") == 0]
+    sinks = [name for v, name in enumerate(g.names) if len(g.neighbors(v, "out")) == 0]
     assert sinks
     vertices.write_text("\n".join(sinks) + "\n")
     argv = ["-q", "score", "--graph", str(graph), "--directed", "--model", str(model),
@@ -834,6 +835,31 @@ def test_negative_master_seed_is_a_usage_error(tmp_path, capsys):
     assert not report.exists()
 
 
+# inputs that only a pipeline stage reads: each used to be reported as a data
+# error of stage 'prepare-graph', exit 2
+EVALUATE_USAGE_ERRORS = {
+    "missing_graph": ("graph_path = {d}/nonexistent.edges\n", "No such file or directory"),
+    "missing_labels": ("graph_path = {d}/g.csv\nanomaly_source = provided\n"
+                       "labels_path = {d}/nonexistent.csv\n", "No such file or directory"),
+    "graph_is_a_directory": ("graph_path = {d}\n", "Is a directory"),
+    "ba_m_not_below_ba_n": ("ba_n = 5\nba_m = 6\n", "need n > m, got n=5, m=6"),
+    "ba_m_zero": ("ba_n = 100\nba_m = 0\n", "m must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_USAGE_ERRORS))
+def test_cli_evaluate_unusable_input_is_a_usage_error(tmp_path, case, capsys):
+    text, message = EVALUATE_USAGE_ERRORS[case]
+    (tmp_path / "g.csv").write_text("a,b\nb,c\nc,d\n")
+    config, report = tmp_path / "exp.cfg", tmp_path / "r.json"
+    config.write_text(text.format(d=tmp_path))
+    assert main(["-q", "evaluate", "--config", str(config),
+                 "--report-out", str(report), "--pk-out", str(tmp_path / "pk.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err and "stage" not in err
+    assert not report.exists()
+
+
 # the permission case (PermissionError) takes the same path; it cannot be set
 # up for a test run as root, so only a path through a regular file is tested
 @pytest.mark.parametrize("flag", ["generate --out", "inject --graph"])
@@ -866,26 +892,60 @@ def test_cli_rank_negative_top_is_a_usage_error(tmp_path, score_inputs, capsys):
     assert len(capsys.readouterr().out.splitlines()) == rows + 1
 
 
+# -- vertex lists ----------------------------------------------------------------------
+
+
+def _vertex_list_commands(graph, vertices, out_dir):
+    """`score --vertices` and `train-link --exclude` argv reading one vertex list."""
+    model = out_dir / "model.json"
+    return [["-q", "score", "--graph", str(graph), "--model", str(model),
+             "--vertices", str(vertices), "--out", str(out_dir / "p.csv")],
+            ["-q", "train-link", "--graph", str(graph), "--exclude", str(vertices),
+             "--size", "10", "--trees", "1", "--model-out", str(model)]]
+
+
+@pytest.fixture(scope="module")
+def vertex_list_inputs(score_inputs, tmp_path_factory):
+    """The score host and a directory holding a forest file for it."""
+    graph, _, doc = score_inputs
+    d = tmp_path_factory.mktemp("vertex_lists")
+    (d / "model.json").write_text(json.dumps(doc))
+    return graph, d
+
+
+def test_cli_unknown_vertex_is_named_unquoted(vertex_list_inputs, capsys):
+    graph, d = vertex_list_inputs
+    vertices = d / "vertices.txt"
+    vertices.write_text("nosuch\n")
+    for argv in _vertex_list_commands(graph, vertices, d):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "data error: unknown vertex name 'nosuch'\n"
+
+
+_VERTEX_LINE = st.one_of(
+    st.sampled_from(["v000", "v001", "v017", "v199", " v002\t"]).map(str.encode),
+    st.sampled_from([b"nosuch", b"v200", b"v00", b"# v003", b"#", b"", b"  ", b"\t",
+                     b"v00\xff", b"\xfe\xff", b"v004 v005", b"\x00"]))
+
+
+# every text is read by both commands; train-link fits 10 pairs per class and
+# one tree, to stay fast, into the forest file that score reads next
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(st.tuples(_VERTEX_LINE, st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                      max_size=8))
+def test_cli_vertex_list_gives_exit_0_1_or_2(vertex_list_inputs, lines):
+    graph, d = vertex_list_inputs
+    vertices = d / "vertices.txt"
+    vertices.write_bytes(b"".join(line + end for line, end in lines))
+    for argv in _vertex_list_commands(graph, vertices, d):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
+
+
 # -- pinned output bytes ------------------------------------------------------------------
 
 
-# Steps of a CLI chain whose outputs never pass through np.log: undirected
-# train-link and score (Adamic-Adar) and evaluate (info gain) do, and
-# np.log's SIMD paths may differ by CPU or numpy version, so those stay
-# unpinned.  The link fit's 600 rows x 20 trees are over the fork floor.
-_CHAIN = (
-    ("generate", "--n", "2000", "--m", "3", "--seed", "1", "--out", "host.edges"),
-    ("inject", "--graph", "host.edges", "--seed", "2", "--out", "undirected.edges",
-     "--labels-out", "undirected_labels.csv", "--record-out", "undirected_record.csv"),
-    ("inject", "--graph", "host.edges", "--directed", "--seed", "3", "--out", "directed.edges",
-     "--labels-out", "directed_labels.csv", "--record-out", "directed_record.csv"),
-    ("train-link", "--graph", "directed.edges", "--directed", "--size", "300", "--trees", "20",
-     "--seed", "4", "--model-out", "model.json"),
-    ("score", "--graph", "directed.edges", "--directed", "--model", "model.json",
-     "--vertices", "vertices.txt", "--out", "profiles.csv"),
-    ("rank", "--profiles", "profiles.csv", "--top", "20"),
-)
-
+# the digest of each file that _cli_chain.CHAIN writes, and of each rank's output
 _CHAIN_DIGESTS = {
     "host.edges": "e2af48621c9da7de802d801ef090f367a1a33930196f3cf2795e434c81fa041f",
     "undirected.edges": "f0052fa1605f17f263f63e4af3a6dea8250af2523d18ee80daf38778ecc0169b",
@@ -897,35 +957,46 @@ _CHAIN_DIGESTS = {
     "model.json": "266f3ccc89a05169e5ca9cdd733b92efc1f98866da5749f7955e05150c881e4a",
     "profiles.csv": "9b7ae99e1fb5a6ccc58841f3cb31b5e15a53de210dce7f3e8c6af619ec845526",
     "rank": "b8048127580f3c210ca03b717d28b2eb84008a83676bc4dfd93f537f54cea5c5",
+    "undirected_model.json": "ba667220bb6791e1d898b1a56929279d7cd8e9a9847472178661b8a6f052e8dd",
+    "undirected_profiles.csv": "8592892206497b362d6bb8bb5d352a3b1c7a15274c1355a1bff61f70f4612b10",
+    "undirected_rank": "94c27b217fa9572461a2f33416c84e3fb38730513ed6c933082e3fb3e388b802",
+    "undirected_report.json": "fec82877e6ba38e6d6e818038e565d0f2f7c36610e03b384770b5e7598df3a0d",
+    "undirected_pk.csv": "41dd0b68624950cdc6f2cf0c678caf1672abca80b8fe33d1d41fe85a23a4d037",
 }
 
 
-def _chain_digests(capsys) -> dict[str, str]:
-    """sha256 of each file the chain writes and of `rank`'s output; paths are
-    relative because `inject` writes its input path into its edge list."""
-    for step in _CHAIN:
-        if step[0] == "score":
-            names = load_edge_list("directed.edges", directed=True).names[::10]
-            Path("vertices.txt").write_text("".join(f"{name}\n" for name in names))
-        capsys.readouterr()
-        assert main(["-q", *step]) == 0, capsys.readouterr().err
-    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-               for name in _CHAIN_DIGESTS if name != "rank"}
-    digests["rank"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    return digests
-
-
-def test_cli_chain_writes_these_bytes(tmp_path, monkeypatch, capsys):
+def test_cli_chain_writes_these_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _chain_digests(capsys) == _CHAIN_DIGESTS
+    assert _cli_chain.run(_cli_chain.CHAIN) == _CHAIN_DIGESTS
 
 
-def test_cli_chain_digests_see_a_threshold_one_ulp_up(tmp_path, monkeypatch, capsys):
+def test_cli_chain_digests_see_a_threshold_one_ulp_up(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     threshold = forest._threshold
     monkeypatch.setattr(forest, "_threshold",
                         lambda below, above: float(np.nextafter(threshold(below, above), np.inf)))
-    assert _chain_digests(capsys)["model.json"] != _CHAIN_DIGESTS["model.json"]
+    digests = _cli_chain.run(_cli_chain.HOST + _cli_chain.DIRECTED)
+    assert digests["model.json"] != _CHAIN_DIGESTS["model.json"]
+
+
+# np.log and np.log2 take other SIMD paths with these CPU features off, and
+# some of their outputs change; the chain's must not
+def test_undirected_chain_bytes_do_not_depend_on_simd_dispatch(tmp_path):
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__ as dispatch
+    except ImportError:
+        pytest.skip("this numpy does not list its dispatched CPU features")
+    import linkanomaly
+
+    src = str(Path(linkanomaly.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ",".join(dispatch),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, _cli_chain.__file__], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout)
+    assert digests == {name: _CHAIN_DIGESTS[name] for name in digests}
+    assert "undirected_report.json" in digests and "undirected_rank" in digests
 
 
 # evaluate on a directed host: its features have no Adamic-Adar and info gain

@@ -76,18 +76,11 @@ def test_integers_with_array_bounds_draws_as_scalar_calls():
     (3000, 4, 7), (3000, 4, 8), (3000, 4, 9), (3000, 4, 10),
 ])
 def test_ba_equals_scalar_draw_loop(n, m, seed):
-    for fresh in (True, False):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        if not fresh:  # a live generator part-way through its stream
-            ours.random(3, dtype=np.float32)
-            theirs.random(3, dtype=np.float32)
-        g = generate_ba(n, m, ours)
-        names, edges = ba_loop(n, m, theirs)
+    for key in (seed, (seed, 0)):
+        g = generate_ba(n, m, key)
+        names, edges = ba_loop(n, m, generator(key))
         assert g.edges.tobytes() == np.array(edges, dtype=np.int64).tobytes()
         assert g.names == names
-        assert ours.bit_generator.state == theirs.bit_generator.state
-    assert generate_ba(n, m, (seed, 0)).edges.tobytes() == \
-        np.array(ba_loop(n, m, generator((seed, 0)))[1], dtype=np.int64).tobytes()
 
 
 def test_ba_bad_params():
@@ -115,7 +108,7 @@ def test_inject_regular_graph_degenerate_distribution():
                      ("a", "c"), ("b", "d")], directed=False)
     out, record = inject_anomalies(g, 1, seed=1)
     assert record.edge_counts == (3,)
-    assert out.degree(record.injected[0]) == 3
+    assert len(out.neighbors(record.injected[0])) == 3
 
 
 def test_inject_targets_only_original_vertices():
@@ -139,8 +132,8 @@ def test_inject_directed_outbound():
     g = build_graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")], directed=True)
     out, record = inject_anomalies(g, 1, seed=4)
     v = record.injected[0]
-    assert out.degree(v, "out") == record.edge_counts[0]
-    assert out.degree(v, "in") == 0
+    assert len(out.neighbors(v, "out")) == record.edge_counts[0]
+    assert len(out.neighbors(v, "in")) == 0
 
 
 def test_inject_degree_fidelity_10k():
@@ -169,9 +162,8 @@ def _hosts_with_isolated_vertices():
                          ids=["undirected", "directed"])
 def test_inject_equals_per_edge_loop(host):
     for n, seed in [(1, 0), (25, 1), (host.vertex_count, 2)]:
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        out, record = inject_anomalies(host, n, ours)
-        names, edges, labels, edge_counts, targets = inject_loop(host, n, theirs)
+        out, record = inject_anomalies(host, n, seed)
+        names, edges, labels, edge_counts, targets = inject_loop(host, n, generator(seed))
         assert out.names == names
         assert out.edges.tobytes() == np.array(edges, dtype=np.int64).tobytes()
         assert out.labels.tolist() == labels
@@ -180,23 +172,19 @@ def test_inject_equals_per_edge_loop(host):
         assert record.edge_counts == edge_counts
         assert record.targets.dtype == np.int64
         assert record.targets.tolist() == [t for ts in targets for t in ts]
-        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_inject_into_edgeless_host_raises_before_drawing(directed):
     g = build_graph([("a", "a"), ("b", "b")], directed=directed)
     assert g.vertex_count == 2 and g.edge_count == 0
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
     # a regression redraws zero edge counts forever: end the run loudly instead
     faulthandler.dump_traceback_later(30, exit=True)
     try:
         with pytest.raises(ExhaustionError, match="no host vertex has"):
-            inject_anomalies(g, 1, rng)
+            inject_anomalies(g, 1, seed=0)
     finally:
         faulthandler.cancel_dump_traceback_later()
-    assert rng.bit_generator.state == state
 
 
 def test_inject_parameter_errors():
@@ -301,19 +289,13 @@ def test_sample_vertices_equal_vertex_at_a_time_loop(host, label_filter):
     # and a bar no vertex clears
     for min_friends, size, seed in [(0, 1, 0), (1, 40, 1), (2, 25, 2), (3, 10, 3),
                                     (3, n, 4), (n, 2, 5)]:
-        for fresh in (True, False):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            if not fresh:  # a live generator part-way through its stream
-                ours.random(3, dtype=np.float32)
-                theirs.random(3, dtype=np.float32)
-            got = _test_set_or_error(sample_test_vertices, host, size, label_filter,
-                                     min_friends, ours)
-            assert got == _test_set_or_error(inspected_vertices_loop, host, size, label_filter,
-                                             min_friends, theirs)
-            assert ours.bit_generator.state == theirs.bit_generator.state
-            if not isinstance(got, str):  # plain ints, as the loop's are
-                selected, _, labels = got
-                assert {type(x) for x in [*selected, *labels.values()]} == {int}
+        got = _test_set_or_error(sample_test_vertices, host, size, label_filter,
+                                 min_friends, seed)
+        assert got == _test_set_or_error(inspected_vertices_loop, host, size, label_filter,
+                                         min_friends, generator(seed))
+        if not isinstance(got, str):  # plain ints, as the loop's are
+            selected, _, labels = got
+            assert {type(x) for x in [*selected, *labels.values()]} == {int}
 
 
 # -- build_link_training_set -----------------------------------------------------
@@ -345,10 +327,10 @@ def test_training_set_balance_and_exclusion():
 
     neg, pos = sample_training_pairs(g, excluded, 30, seed=3)
     for v, u in neg:
-        assert g.has_edge(v, u)
+        assert u in g.neighbors(v)
         assert v not in excluded and u not in excluded
     for v, u in pos:
-        assert not g.has_edge(v, u) and v != u
+        assert u not in g.neighbors(v) and v != u
         assert v not in excluded and u not in excluded
 
 
@@ -396,16 +378,9 @@ def test_training_pairs_equal_pair_at_a_time_loop(host):
     n = host.vertex_count
     for excluded, size, seed in [(set(), 1, 0), (set(range(0, n, 5)), 40, 1),
                                  ({-1, 3, n + 3}, 150, 2), (set(range(n // 2)), 60, 3)]:
-        for fresh in (True, False):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            if not fresh:  # a live generator part-way through its stream
-                ours.random(3, dtype=np.float32)
-                theirs.random(3, dtype=np.float32)
-            assert _pair_lists(sample_training_pairs(host, excluded, size, ours)) == \
-                training_pairs_loop(host, excluded, size, theirs)
-            assert ours.bit_generator.state == theirs.bit_generator.state
-        assert _pair_lists(sample_training_pairs(host, excluded, size, (seed, 5))) == \
-            training_pairs_loop(host, excluded, size, generator((seed, 5)))
+        for key in (seed, (seed, 5)):
+            assert _pair_lists(sample_training_pairs(host, excluded, size, key)) == \
+                training_pairs_loop(host, excluded, size, generator(key))
 
 
 @pytest.mark.parametrize("missing, size", [(3, 5), (12, 10), (40, 30), (2, 2), (1, 1)])
@@ -415,10 +390,20 @@ def test_training_pairs_budget_on_nearly_complete_host(missing, size):
     # a block of draws; the error must name the same count
     g = _nearly_complete_graph(30, missing)
     for seed in range(3):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _pairs_or_error(sample_training_pairs, g, {29}, size, ours)
-        assert got == _pairs_or_error(training_pairs_loop, g, {29}, size, theirs)
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        got = _pairs_or_error(sample_training_pairs, g, {29}, size, seed)
+        assert got == _pairs_or_error(training_pairs_loop, g, {29}, size, generator(seed))
     with pytest.raises(ExhaustionError, match=r"found \d+/50 non-existing pairs after the "
                                               r"5000-attempt budget \(100 x requested\)"):
         sample_training_pairs(g, set(), 50, seed=0)
+
+
+def test_every_sampling_stage_refuses_a_live_generator():
+    # a stage is a function of its seed key; a Generator's position is not a key
+    g = generate_ba(60, 2, seed=0)
+    stages = [lambda rng: generate_ba(60, 2, rng),
+              lambda rng: inject_anomalies(g, 3, rng),
+              lambda rng: sample_test_vertices(g, 2, None, 1, rng),
+              lambda rng: sample_training_pairs(g, set(), 5, rng)]
+    for stage in stages:
+        with pytest.raises(TypeError):
+            stage(np.random.default_rng(0))
