@@ -81,8 +81,7 @@ class ExperimentConfig:
         if not 0 < self.threshold < 1:
             raise ParameterError("threshold must be in (0, 1)")
         for key in ("test_positive_count", "test_negative_count",
-                    "link_train_size_per_class", "tree_count", "min_leaf_size",
-                    "run_count"):
+                    "link_train_size_per_class", "run_count"):
             if getattr(self, key) < 1:
                 raise ParameterError(f"{key} must be positive")
         seed_key(self.master_seed)  # raises on a negative seed
@@ -122,13 +121,14 @@ _PARSERS = {"int | None": _opt_int, "str | None": _opt_str, "bool": _bool,
 _COERCE = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
-def apply_kv(config: ExperimentConfig, key: str, raw: str, where: str) -> None:
+def apply_kv(config: ExperimentConfig, key: str, raw: str, where: str, error=ParseError) -> None:
+    """Set one key from its text; an unknown key or a bad value raises `error`."""
     if key not in _COERCE:
-        raise ParseError(f"{where}: unknown configuration key {key!r}")
+        raise error(f"{where}: unknown configuration key {key!r}")
     try:
         setattr(config, key, _COERCE[key](raw))
     except ValueError as e:
-        raise ParseError(f"{where}: bad value for {key}: {e}") from None
+        raise error(f"{where}: bad value for {key}: {e}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -145,13 +145,14 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse a config file, apply key=value overrides, and validate."""
+    """Parse a config file, apply key=value overrides, and validate; a bad
+    override is a ParameterError, a bad line of the file a ParseError."""
     p = Path(path)
     with named_decode_error(p):
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     config = parse_config_text(text, str(p))
     for key, raw in (overrides or {}).items():
-        apply_kv(config, key, raw, "<override>")
+        apply_kv(config, key, raw, "--set", ParameterError)
     config.validate()
     return config
 

@@ -62,9 +62,6 @@ class EdgeFeatureVector:
     def __getitem__(self, name: str) -> float:
         return float(self.values[self.names.index(name)])
 
-    def __len__(self) -> int:
-        return len(self.names)
-
 
 def _check_pair(g: Graph, v: int, u: int) -> None:
     g._check_vertex(v)

@@ -269,7 +269,7 @@ class LinkForest:
         """Read a forest file, checking every tree before any predict can use it."""
         try:
             with named_decode_error(path):
-                doc = json.loads(Path(path).read_text(encoding="utf-8"))
+                doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (ValueError, RecursionError) as e:  # bad JSON, an over-long number, deep nesting
             raise ShapeError(f"{path}: not a forest file ({e})") from None
         if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:

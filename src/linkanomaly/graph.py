@@ -110,11 +110,10 @@ class Graph:
             d.setflags(write=False)
         self._degrees = degrees
 
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int8)
-            if labels.shape != (n,):
-                raise ParameterError("labels array must have one entry per vertex")
-            labels.setflags(write=False)
+        labels = np.zeros(n, dtype=np.int8) if labels is None else np.asarray(labels, dtype=np.int8)
+        if labels.shape != (n,):
+            raise ParameterError("labels array must have one entry per vertex")
+        labels.setflags(write=False)
         self._labels = labels
 
     # -- basic properties ---------------------------------------------------
@@ -137,8 +136,9 @@ class Graph:
         return list(self._names)
 
     @property
-    def labels(self) -> np.ndarray | None:
-        """Per-vertex labels (0 normal, 1 anomalous), or None if unlabeled."""
+    def labels(self) -> np.ndarray:
+        """Read-only per-vertex labels (0 normal, 1 anomalous); a graph built
+        without labels is all normal."""
         return self._labels
 
     def name_of(self, v: int) -> str:
@@ -150,10 +150,6 @@ class Graph:
             return self._name_to_id[name]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex name {name!r}") from None
-
-    def label_of(self, v: int) -> int:
-        self._check_vertex(v)
-        return NORMAL if self._labels is None else int(self._labels[v])
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._names):
@@ -246,11 +242,10 @@ class Graph:
     def _by_name(self) -> tuple:
         """Direction, label per name and edges as name pairs: what equality compares."""
         names = self._names
-        labels = [NORMAL] * len(names) if self._labels is None else self._labels.tolist()
         edges = {(names[a], names[b]) for a, b in self._edges.tolist()}
         if not self.directed:
             edges = {tuple(sorted(e)) for e in edges}
-        return self.directed, dict(zip(names, labels)), edges
+        return self.directed, dict(zip(names, self._labels.tolist())), edges
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

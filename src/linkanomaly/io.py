@@ -2,7 +2,8 @@
 
 Edge lists are one edge per line, the two vertex names separated by a
 comma or whitespace; `#` starts a comment line.  All CSVs carry a header
-row.  Reports serialize with sorted keys so identical results are
+row.  A file read may start with a UTF-8 byte-order mark, which is
+skipped.  Reports serialize with sorted keys so identical results are
 byte-identical on disk.
 """
 
@@ -45,7 +46,7 @@ def load_edge_list(path, directed: bool) -> Graph:
 def _edge_list_slices(path):
     """An edge-list file's vertex names, one slice of lines at a time; the
     file's text is freed once the last slice is out."""
-    with named_decode_error(path), open(path, "r", encoding="utf-8") as fh:
+    with named_decode_error(path), open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     start = names_before = lines_before = 0
     while start < len(text):
@@ -98,7 +99,7 @@ def _csv_rows(path):
     """A CSV file's header row (None if empty), then `(line, row)` per non-blank
     row, `line` being the file line the row ends on; a `csv.Error` (such as a
     field over the csv module's size limit) becomes a ParseError naming it."""
-    with named_decode_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
+    with named_decode_error(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = csv.reader(fh)
         try:
             yield next(rows, None)
@@ -140,7 +141,7 @@ def write_labels(path, labels: Mapping[str, int]) -> None:
 def load_vertex_list(path) -> list[str]:
     """One vertex name per line; `#` comments and blank lines skipped."""
     names = []
-    with named_decode_error(path), open(path, "r", encoding="utf-8") as fh:
+    with named_decode_error(path), open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
@@ -217,8 +218,8 @@ def write_injection_record_csv(record: InjectionRecord, g: Graph, path) -> None:
 
 def write_test_set_csv(pos: TestSet, neg: TestSet, g: Graph, path) -> None:
     """Membership audit: every vertex involved in the test sets and its role."""
-    names = g.names
+    names, labels = g.names, g.labels.tolist()
     selected = set(pos.selected) | set(neg.selected)
     _write_csv(path, ["vertex", "label", "selected"],
-               ([names[v], g.label_of(v), int(v in selected)]
+               ([names[v], labels[v], int(v in selected)]
                 for v in np.union1d(pos.vertices, neg.vertices).tolist()))

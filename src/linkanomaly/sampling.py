@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ExhaustionError, ParameterError
 from .features import extract_feature_matrix
 from .forest import TrainingExample
-from .graph import ANOMALOUS, NORMAL, Graph
+from .graph import ANOMALOUS, Graph
 from .rng import generator
 
 # rejection loops give up after ATTEMPT_FACTOR * requested draws
@@ -151,10 +151,7 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
         target_arrays.append(rng.choice(host_n, size=k, replace=False))
 
     names = g.names + _fresh_names(g, n)
-    labels = np.zeros(host_n + n, dtype=np.int8)
-    if g.labels is not None:
-        labels[:host_n] = g.labels
-    labels[host_n:] = ANOMALOUS
+    labels = np.concatenate([g.labels, np.full(n, ANOMALOUS, np.int8)])
 
     sources = np.repeat(np.arange(host_n, host_n + n, dtype=np.int64), edge_counts)
     targets = np.concatenate(target_arrays)
@@ -190,7 +187,7 @@ def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
     """Accept `n` distinct vertices by rejection sampling.
 
     A uniformly drawn vertex is accepted when it matches `label_filter`
-    (if given and the graph is labeled), has more than `min_friends`
+    (if given; an unlabeled graph is all normal), has more than `min_friends`
     neighbors, and more than `min_friends` of those neighbors themselves
     have more than `min_friends` neighbors.  Those qualifying neighbors are
     returned with the vertices, in `TestSet.vertices`.
@@ -203,7 +200,7 @@ def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
     def accept(draws):
         v = draws[:, 0]
         ok = rich[v]
-        if label_filter is not None and g.labels is not None:
+        if label_filter is not None:
             ok &= g.labels[v] == label_filter
         counts, nbrs = g.gather_neighbors(v[ok], "all")
         ends = np.cumsum(counts)
@@ -219,8 +216,8 @@ def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
 
     _, nbrs = g.gather_neighbors(chosen, "all")
     selected = tuple(chosen.tolist())
-    labels = [NORMAL] * n if g.labels is None else g.labels[chosen].tolist()
-    return TestSet(selected, np.union1d(chosen, nbrs[rich[nbrs]]), dict(zip(selected, labels)))
+    return TestSet(selected, np.union1d(chosen, nbrs[rich[nbrs]]),
+                   dict(zip(selected, g.labels[chosen].tolist())))
 
 
 def sample_training_pairs(g: Graph, excluded, size_per_class: int, seed

@@ -45,7 +45,7 @@ UNDIRECTED = (
      "--vertices", "undirected_vertices.txt", "--out", "undirected_profiles.csv"),
     ("rank", "--profiles", "undirected_profiles.csv", "--top", "20"),
     ("evaluate", "--config", "undirected.cfg", "--report-out", "undirected_report.json",
-     "--pk-out", "undirected_pk.csv"),
+     "--pk-out", "undirected_pk.csv", "--audit-dir", "."),
 )
 
 CHAIN = HOST + DIRECTED + UNDIRECTED

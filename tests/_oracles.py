@@ -193,6 +193,31 @@ def degree_pair_ceiling_auc(edges, n, excluded=()):
     return float(Fraction(twice_wins, 2 * total_e * total_ne))
 
 
+def label_free_scores(g, vertices):
+    """{name: scores of `vertices`} for three anomaly scores that need no
+    labels and no training, higher meaning more anomalous, from the degrees
+    d_u of each vertex's k neighbours u in an undirected graph:
+
+    * "naive LLR", k log(2E/n) - sum log d_u: the log likelihood ratio of
+      neighbours drawn uniformly (as the injection draws them) over
+      neighbours drawn in proportion to degree (as preferential attachment
+      draws them);
+    * "mean -log neighbour degree";
+    * "own degree", k.
+
+    They are references to compare the pipeline with, not bounds on it.
+    """
+    degrees = g.degrees("all").tolist()
+    log_rate = math.log(2 * g.edge_count / g.vertex_count)
+    scores = {"naive LLR": [], "mean -log neighbour degree": [], "own degree": []}
+    for v in vertices:
+        logs = [math.log(degrees[u]) for u in g.neighbors(v, "all").tolist()]
+        scores["naive LLR"].append(len(logs) * log_rate - sum(logs))
+        scores["mean -log neighbour degree"].append(-sum(logs) / len(logs))
+        scores["own degree"].append(float(len(logs)))
+    return scores
+
+
 def ceiling_margin(a, per_class, runs=1):
     """Three standard errors of the mean of `runs` holdout AUCs near `a`.
 
@@ -264,7 +289,7 @@ def inject_loop(g, n, rng):
         if cand not in taken:
             fresh.append(cand)
         i += 1
-    host_labels = [0] * host_n if g.labels is None else [int(x) for x in g.labels]
+    host_labels = g.labels.tolist()
     edges = sorted({(int(a), int(b)) for a, b in g.edges} | set(new_edges))
     return (g.names + fresh, edges, host_labels + [1] * n,
             tuple(edge_counts), tuple(target_lists))
@@ -273,13 +298,14 @@ def inject_loop(g, n, rng):
 def edge_list_loop(path, directed):
     """(names, sorted edge list, self-loops dropped, duplicates dropped) of a file.
 
-    Reads line by line with universal newlines and interns names through a
-    dict; raises the loader's ParseError for the first malformed line.
+    Reads line by line with universal newlines, skipping a leading byte-order
+    mark, and interns names through a dict; raises the loader's ParseError
+    for the first malformed line.
     """
     from linkanomaly.errors import ParseError
 
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -318,7 +344,7 @@ def inspected_vertices_loop(g, n, label_filter, min_friends, rng):
         v = int(rng.integers(g.vertex_count))
         if v in chosen:
             continue
-        if label_filter is not None and g.labels is not None and g.label_of(v) != label_filter:
+        if label_filter is not None and g.labels[v] != label_filter:
             continue
         if degrees[v] <= min_friends:
             continue
@@ -327,7 +353,7 @@ def inspected_vertices_loop(g, n, label_filter, min_friends, rng):
             continue
         selected.append(v)
         chosen.add(v)
-        labels[v] = g.label_of(v)
+        labels[v] = int(g.labels[v])
         for u in qualified:
             e = (v, u) if g.directed else (min(v, u), max(v, u))
             if e not in seen_edges:

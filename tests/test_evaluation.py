@@ -329,7 +329,7 @@ def test_audit_csv_lists_selected_vertices_and_their_qualifying_neighbors(tmp_pa
         selected.update(chosen)
         involved.update(chosen, *edges)  # an edge adds both its endpoints
     expected = [["vertex", "label", "selected"]] + [
-        [g.name_of(v), str(g.label_of(v)), str(int(v in selected))] for v in sorted(involved)]
+        [g.name_of(v), str(g.labels[v]), str(int(v in selected))] for v in sorted(involved)]
     with open(tmp_path / "run0_test_set.csv", encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh)) == expected
 
@@ -378,7 +378,7 @@ def test_random_labels_are_attached_to_the_host_without_building_it_again(monkey
     g = evaluation._prepare_graph(config)
     assert len(built) == 1
     host = built[0]
-    assert host.labels is None and g.edges is host.edges
+    assert not host.labels.any() and g.edges is host.edges
     for mode in ("all", "in", "out"):
         assert all(a is b for a, b in zip(g._view(mode), host._view(mode)))
     # stream 2 of the master seed picks the anomalous vertices

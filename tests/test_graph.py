@@ -116,16 +116,17 @@ def test_permutation_invariance():
 def test_labels_roundtrip():
     g = build_graph([("a", "b"), ("b", "c")], directed=False)
     labeled = g.with_labels({"b": 1})
-    assert labeled.label_of(labeled.id_of("b")) == 1
-    assert labeled.label_of(labeled.id_of("a")) == 0
-    assert g.labels is None
+    assert labeled.labels[labeled.id_of("b")] == 1
+    assert labeled.labels[labeled.id_of("a")] == 0
+    assert g.labels.tolist() == [0, 0, 0]  # a graph built without labels is all normal
+    assert g.labels.dtype == np.int8 and not g.labels.flags.writeable
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_with_labels_keeps_drop_counts_and_shares_edges_and_views(directed):
     g = build_graph([("a", "b"), ("b", "c"), ("c", "b"), ("b", "c"), ("a", "a")], directed)
     labeled = g.with_labels({"b": 1})
-    assert labeled.labels.tolist() == [0, 1, 0] and g.labels is None
+    assert labeled.labels.tolist() == [0, 1, 0] and g.labels.tolist() == [0, 0, 0]
     assert (labeled.dropped_self_loops, labeled.dropped_duplicates) == (1, 2 - directed)
     assert labeled.edges is g.edges
     for mode in ("all", "in", "out"):

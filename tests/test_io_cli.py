@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -368,6 +369,13 @@ _CONFIG_LINE = st.one_of(
     st.text(max_size=10))
 
 
+# ForestParams owns the forest's count rules; the config check defers to it
+@pytest.mark.parametrize("key", ["tree_count", "min_leaf_size"])
+def test_config_forest_counts_are_checked_by_forest_params(key):
+    with pytest.raises(ParameterError, match=f"^{key} must be >= 1$"):
+        ExperimentConfig(ba_n=100, ba_m=2, **{key: 0}).validate()
+
+
 # huge values (ba_n, tree_count) meet only validation here: nothing is run
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -565,6 +573,48 @@ def test_cli_non_utf8_input_is_a_data_error(tmp_path, score_inputs, kind, capsys
     assert main(["-q", *argv]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and f"{bad}: not UTF-8 text" in err
+
+
+def _saved_forest(path):
+    out = path.with_name(path.name + ".saved")
+    forest.LinkForest.load(path).save(out)
+    return out.read_bytes()
+
+
+# file name -> how it is read; the triangle is compared by Graph.__eq__, which
+# goes by vertex name
+_LOADERS = {
+    "triangle.edges": lambda p: load_edge_list(p, directed=False),
+    "vertices.txt": edge_io.load_vertex_list,
+    "labels.csv": load_labels,
+    "profiles.csv": load_profiles_csv,
+    "exp.cfg": load_config,
+    "model.json": _saved_forest,
+}
+
+
+@pytest.fixture(scope="module")
+def plain_inputs(tmp_path_factory, score_inputs):
+    """One file for each of `_LOADERS`, none starting with a byte-order mark."""
+    graph, vertices, doc = score_inputs
+    d = tmp_path_factory.mktemp("plain_inputs")
+    (d / "model.json").write_text(json.dumps(doc))
+    (d / "triangle.edges").write_text("a,b\nb,c\nc,a\n")
+    (d / "vertices.txt").write_bytes(vertices.read_bytes())
+    write_labels(d / "labels.csv", {"v000": 1, "v001": 0})
+    (d / "exp.cfg").write_text("ba_n = 50\nba_m = 2\n")
+    assert main(["-q", "score", "--graph", str(graph), "--model", str(d / "model.json"),
+                 "--vertices", str(vertices), "--out", str(d / "profiles.csv")]) == 0
+    return d
+
+
+# a leading UTF-8 byte-order mark is skipped: it neither renames the first
+# vertex nor breaks a CSV header, a config key or a forest file's JSON
+@pytest.mark.parametrize("name", sorted(_LOADERS))
+def test_loader_reads_a_file_with_a_byte_order_mark_as_without_one(tmp_path, plain_inputs, name):
+    plain, bom = plain_inputs / name, tmp_path / name
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _LOADERS[name](bom) == _LOADERS[name](plain)
 
 
 @pytest.mark.parametrize("kind", ["profiles", "labels"])
@@ -835,6 +885,29 @@ def test_negative_master_seed_is_a_usage_error(tmp_path, capsys):
     assert not report.exists()
 
 
+# a bad --set is a bad flag, exit 1; the same text on a line of the config
+# file is a malformed file, exit 2
+@pytest.mark.parametrize("item, message", [
+    ("nosuch=1", "--set: unknown configuration key 'nosuch'"),
+    ("master_seed=abc", "--set: bad value for master_seed: invalid literal"),
+])
+def test_malformed_set_is_a_usage_error_and_the_same_config_line_a_data_error(
+        tmp_path, capsys, item, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text("ba_n = 100\nba_m = 2\n")
+    report = tmp_path / "r.json"
+    argv = ["-q", "evaluate", "--config", str(config),
+            "--report-out", str(report), "--pk-out", str(tmp_path / "pk.csv")]
+    assert main([*argv, "--set", item]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+    config.write_text(f"ba_n = 100\nba_m = 2\n{item}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message.replace("--set", f"{config}:3") in err
+    assert not report.exists()
+
+
 # inputs that only a pipeline stage reads: each used to be reported as a data
 # error of stage 'prepare-graph', exit 2
 EVALUATE_USAGE_ERRORS = {
@@ -962,6 +1035,7 @@ _CHAIN_DIGESTS = {
     "undirected_rank": "94c27b217fa9572461a2f33416c84e3fb38730513ed6c933082e3fb3e388b802",
     "undirected_report.json": "fec82877e6ba38e6d6e818038e565d0f2f7c36610e03b384770b5e7598df3a0d",
     "undirected_pk.csv": "41dd0b68624950cdc6f2cf0c678caf1672abca80b8fe33d1d41fe85a23a4d037",
+    "run0_test_set.csv": "113525dc69df2e6d0dc51ecfcdb9080b1a2acf641d44af1895525acf2919d68f",
 }
 
 
@@ -1007,14 +1081,17 @@ _DIRECTED_HOST = (
      "--labels-out", "directed_labels.csv"),
 )
 
-_DIRECTED_EVALUATE_FILES = ("precision_at_k.csv", "audit/run0_test_set.csv")
+_DIRECTED_EVALUATE_FILES = ("precision_at_k.csv", "audit/run0_test_set.csv", "report.json")
 _DIRECTED_EVALUATE_DIGESTS = {  # anomaly_source: the digest of each of those files
     "inject": ("e03a8257ee56d902c7cc89d944ea8845d98eaa01e6ffa164b005d6add3c12135",
-               "b021d00b031826c8e4e3bba8be4aac86b43d33360c4a1e2956cb79a11ca70089"),
+               "b021d00b031826c8e4e3bba8be4aac86b43d33360c4a1e2956cb79a11ca70089",
+               "5635a8c1ae4f1dc84d0645d9223814a37c1c4ad04f40efcd7f59cf689a51bb20"),
     "random": ("4cb5dd5e6193983c24beade82105928330ae5e6c95554ab95b3fe8bfd5e85f16",
-               "9d76e7db0d0c639286fe1841c17662a30290f69223fb3fca5a14ded6fc941726"),
+               "9d76e7db0d0c639286fe1841c17662a30290f69223fb3fca5a14ded6fc941726",
+               "71f5b3d80c121e2efc1047a8db0a5d8ca8bd8721f1ac51bf7ebfdc942f9c678a"),
     "provided": ("040c111c4f97fb8b5b9c660e7070bbac4a6cc2160f50c5d2a244bb3cc1c48ec0",
-                 "a430e989ed6a0863a7c3269e575fc68638cf763940f6607c83f55fbcd68a69f4"),
+                 "a430e989ed6a0863a7c3269e575fc68638cf763940f6607c83f55fbcd68a69f4",
+                 "1feb76a1a155302cd4722878f1470ad1bf66c7eca5be752ca8a09e5f4c2041c7"),
 }
 
 
@@ -1028,13 +1105,15 @@ def directed_host(tmp_path_factory):
     return d / "directed.edges", d / "directed_labels.csv"
 
 
-# one audit directory per source: every run writes run0_test_set.csv
+# one audit directory per source: every run writes run0_test_set.csv; the
+# report embeds the input paths, so the host files are copied under relative names
 @pytest.mark.parametrize("source", sorted(_DIRECTED_EVALUATE_DIGESTS))
 def test_directed_evaluate_writes_these_bytes(tmp_path, monkeypatch, directed_host, source):
     monkeypatch.chdir(tmp_path)
-    graph, labels = directed_host
+    for path in directed_host:
+        shutil.copy(path, path.name)
     Path("exp.cfg").write_text(
-        f"graph_path = {graph}\nlabels_path = {labels}\ndirected = true\n"
+        "graph_path = directed.edges\nlabels_path = directed_labels.csv\ndirected = true\n"
         f"anomaly_source = {source}\ntest_positive_count = 20\ntest_negative_count = 80\n"
         "link_train_size_per_class = 300\nlink_holdout_per_class = 50\n"
         "tree_count = 20\nmeta_tree_count = 50\nfolds = 5\nrun_count = 1\n")

@@ -99,7 +99,7 @@ def test_inject_count_conservation():
     k = record.edge_counts[0]
     assert out.vertex_count == g.vertex_count + 1
     assert out.edge_count == g.edge_count + k
-    assert out.label_of(record.injected[0]) == ANOMALOUS
+    assert out.labels[record.injected[0]] == ANOMALOUS
 
 
 def test_inject_regular_graph_degenerate_distribution():
@@ -124,8 +124,8 @@ def test_inject_targets_only_original_vertices():
 def test_inject_labels_preserved():
     g = generate_ba(30, 2, seed=0).with_labels({"v00": 1})
     out, record = inject_anomalies(g, 2, seed=3)
-    assert out.label_of(out.id_of("v00")) == ANOMALOUS
-    assert all(out.label_of(v) == ANOMALOUS for v in record.injected)
+    assert out.labels[out.id_of("v00")] == ANOMALOUS
+    assert all(out.labels[v] == ANOMALOUS for v in record.injected)
 
 
 def test_inject_directed_outbound():
@@ -238,9 +238,19 @@ def test_sample_label_filter():
     g = generate_ba(200, 3, seed=0)
     g2, record = inject_anomalies(g, 40, seed=1)
     ts = sample_test_vertices(g2, 10, ANOMALOUS, 2, seed=2)
-    assert all(g2.label_of(v) == ANOMALOUS for v in ts.selected)
+    assert all(g2.labels[v] == ANOMALOUS for v in ts.selected)
     ts_n = sample_test_vertices(g2, 10, NORMAL, 2, seed=3)
-    assert all(g2.label_of(v) == NORMAL for v in ts_n.selected)
+    assert all(g2.labels[v] == NORMAL for v in ts_n.selected)
+
+
+def test_sample_label_filter_on_an_unlabeled_graph():
+    # a graph built without labels is all normal: the anomalous filter
+    # matches no vertex, the normal one every vertex
+    g = generate_ba(200, 3, seed=0)
+    with pytest.raises(ExhaustionError, match="accepted 0/1 vertices"):
+        sample_test_vertices(g, 1, ANOMALOUS, 2, seed=2)
+    normal, unfiltered = (sample_test_vertices(g, 10, f, 2, seed=2) for f in (NORMAL, None))
+    assert normal.selected == unfiltered.selected and normal.labels == unfiltered.labels
 
 
 def test_sample_vertices_distinct_and_qualified():
