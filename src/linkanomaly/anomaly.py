@@ -61,7 +61,7 @@ def _score_edges(forest: LinkForest, g: Graph, vertices: Sequence[int], mode: st
     The edges of all vertices are featurized and scored in one batch; the
     neighbors and probabilities are concatenated in vertex order.
     """
-    if forest.feature_names is not None and forest.feature_names != feature_names(g.directed):
+    if forest.feature_names != feature_names(g.directed):
         raise ShapeError(
             "forest was trained on a different feature set than this graph mode provides")
     vertices = np.asarray(vertices, dtype=np.int64)

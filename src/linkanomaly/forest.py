@@ -231,12 +231,12 @@ class LinkForest:
     """A trained forest; immutable and safe to share across threads."""
 
     def __init__(self, trees: list[_Tree], params: ForestParams, seed,
-                 n_features: int, feature_names: Sequence[str] | None = None):
+                 feature_names: Sequence[str]):
         self.trees = trees
         self.params = params
         self.seed = seed
-        self.n_features = n_features
-        self.feature_names = tuple(feature_names) if feature_names else None
+        self.feature_names = tuple(feature_names)
+        self.n_features = len(self.feature_names)
 
     def predict_proba_many(self, X: np.ndarray) -> np.ndarray:
         """Vote fraction in [0, 1] per row; 1 = certainly non-existing."""
@@ -256,7 +256,7 @@ class LinkForest:
             "format": FOREST_FORMAT,
             "version": FOREST_VERSION,
             "n_features": self.n_features,
-            "feature_names": list(self.feature_names) if self.feature_names else None,
+            "feature_names": list(self.feature_names),
             "seed": list(seed_key(self.seed)),
             "params": asdict(self.params),
             "trees": [{name: getattr(t, name).tolist() for name, _ in _NODE_ARRAYS}
@@ -284,12 +284,18 @@ class LinkForest:
             raise ShapeError(f"{path}: malformed forest header ({e!r})") from None
         if type(n_features) is not int or n_features < 1:
             raise ShapeError(f"{path}: n_features must be a positive integer, got {n_features!r}")
-        if names is not None and (not isinstance(names, list) or len(names) != n_features):
-            raise ShapeError(f"{path}: feature_names must list {n_features} names")
+        _check_names(names, n_features, str(path))
         if not isinstance(trees, list) or not trees:
             raise ShapeError(f"{path}: a forest needs at least one tree")
         return cls([_load_tree(t, n_features, f"{path}: tree {i}") for i, t in enumerate(trees)],
-                   params, seed, n_features, names)
+                   params, seed, names)
+
+
+def _check_names(names, n_features: int, where: str) -> None:
+    """Raise ShapeError unless `names` is a list or tuple of `n_features` strings."""
+    if (not isinstance(names, (list, tuple)) or len(names) != n_features
+            or not all(isinstance(name, str) for name in names)):
+        raise ShapeError(f"{where}: feature_names must list {n_features} strings")
 
 
 def _load_tree(doc, n_features: int, where: str) -> _Tree:
@@ -320,41 +326,40 @@ def _load_tree(doc, n_features: int, where: str) -> _Tree:
     return t
 
 
-def train_forest(examples: Sequence[TrainingExample] | None, params: ForestParams,
-                 seed, *, X: np.ndarray | None = None, y: np.ndarray | None = None,
-                 feature_names: Sequence[str] | None = None) -> LinkForest:
-    """Fit a forest on TrainingExamples (or a prebuilt X, y pair) labeled 0 or 1."""
-    if examples is not None:
-        try:
-            X = np.array([ex.features for ex in examples], dtype=np.float64)
-        except ValueError:
-            raise ShapeError("ragged feature vectors: the examples' rows differ in length") from None
-        y = np.array([ex.label for ex in examples], dtype=np.uint8)
-    elif X is None or y is None:
-        raise ParameterError("train_forest needs examples or an (X, y) pair")
+def train_forest(examples: Sequence[TrainingExample], params: ForestParams, seed, *,
+                 feature_names: Sequence[str]) -> LinkForest:
+    """Fit a forest on TrainingExamples labeled 0 or 1, one name per feature."""
+    try:
+        X = np.array([ex.features for ex in examples], dtype=np.float64)
+    except ValueError:
+        raise ShapeError("ragged feature vectors: the examples' rows differ in length") from None
+    y = np.array([ex.label for ex in examples], dtype=np.uint8)
     return train_forests([(X, y, seed)], params, feature_names)[0]
 
 
 def train_forests(fits: Sequence[tuple], params: ForestParams,
-                  feature_names: Sequence[str] | None = None) -> list[LinkForest]:
+                  feature_names: Sequence[str]) -> list[LinkForest]:
     """One forest per `(X, y, seed)` fit, labeled 0 or 1, all grown in one batch.
 
-    Every fit is checked and put in canonical order before any tree grows.
-    The trees of all fits then share one set of workers, and each forest
-    is the one a lone `train_forest` call on its fit gives.
+    Every fit is checked and put in canonical order before any tree grows:
+    X needs one column per name in `feature_names`, and at least one.  The
+    trees of all fits then share one set of workers, and each forest is the
+    one a lone fit of its own gives.
     """
     params.validate()
-    prepared = [(*_canonical(X, y), seed_key(seed)) for X, y, seed in fits]
-    return [LinkForest(trees, params, key, XT.shape[0], feature_names)
-            for trees, (XT, _, key) in zip(_grow_trees(prepared, params), prepared)]
+    names = tuple(feature_names)
+    prepared = [(*_canonical(X, y, names), seed_key(seed)) for X, y, seed in fits]
+    return [LinkForest(trees, params, key, names)
+            for trees, (_, _, key) in zip(_grow_trees(prepared, params), prepared)]
 
 
-def _canonical(X, y) -> tuple[np.ndarray, np.ndarray]:
+def _canonical(X, y, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """A checked fit's (features, rows) transpose and boolean labels, in canonical order."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.uint8)
-    if X.ndim != 2 or len(X) != len(y):
+    if X.ndim != 2 or len(X) != len(y) or X.shape[1] == 0:
         raise ShapeError(f"bad training shapes X={X.shape}, y={y.shape}")
+    _check_names(names, X.shape[1], f"training features of shape {X.shape}")
     if len(X) < 2:
         raise DegenerateTrainingError("need at least 2 training examples")
     if not np.isfinite(X).all():

@@ -182,26 +182,27 @@ def _first_accepted(rng, high: int, width: int, need: int, accept) -> np.ndarray
     return kept
 
 
-def sample_test_vertices(g: Graph, n: int, label_filter: int | None,
+def sample_test_vertices(g: Graph, n: int, label_filter: int,
                          min_friends: int, seed) -> TestSet:
     """Accept `n` distinct vertices by rejection sampling.
 
     A uniformly drawn vertex is accepted when it matches `label_filter`
-    (if given; an unlabeled graph is all normal), has more than `min_friends`
+    (an unlabeled graph is all normal), has more than `min_friends`
     neighbors, and more than `min_friends` of those neighbors themselves
     have more than `min_friends` neighbors.  Those qualifying neighbors are
     returned with the vertices, in `TestSet.vertices`.
     """
     if n < 1:
         raise ParameterError(f"requested vertex count must be >= 1, got {n}")
+    matches = g.labels == label_filter
+    if not matches.any():
+        raise ExhaustionError(f"no vertex has label {label_filter}, so none can be drawn")
     rng = generator(seed)
     rich = g.degrees("all") > min_friends
 
     def accept(draws):
         v = draws[:, 0]
-        ok = rich[v]
-        if label_filter is not None:
-            ok &= g.labels[v] == label_filter
+        ok = rich[v] & matches[v]
         counts, nbrs = g.gather_neighbors(v[ok], "all")
         ends = np.cumsum(counts)
         rich_seen = np.concatenate(([0], np.cumsum(rich[nbrs])))

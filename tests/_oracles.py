@@ -326,11 +326,13 @@ def edge_list_loop(path, directed):
 def inspected_vertices_loop(g, n, label_filter, min_friends, rng):
     """(selected, edges, labels) of a test set drawn one vertex at a time.
 
-    Raises the sampler's ExhaustionError, with its message, when the
-    attempt budget runs out.
+    Raises the sampler's ExhaustionError, with its message, when no vertex
+    has the label or the attempt budget runs out.
     """
     from linkanomaly.errors import ExhaustionError
 
+    if label_filter not in g.labels.tolist():
+        raise ExhaustionError(f"no vertex has label {label_filter}, so none can be drawn")
     budget = 100 * n
     degrees = g.degrees("all")
     selected, chosen, edges, seen_edges, labels = [], set(), [], set(), {}
@@ -344,7 +346,7 @@ def inspected_vertices_loop(g, n, label_filter, min_friends, rng):
         v = int(rng.integers(g.vertex_count))
         if v in chosen:
             continue
-        if label_filter is not None and g.labels[v] != label_filter:
+        if g.labels[v] != label_filter:
             continue
         if degrees[v] <= min_friends:
             continue
@@ -539,8 +541,8 @@ def predict_proba_loop(forest, X):
 
 # -- meta-classifier cross-validation ----------------------------------------------------
 #
-# The fold loop `evaluation.k_fold_cv` replaced: one `train_forest` call,
-# and so one set of forked workers, per fold.
+# The fold loop `evaluation.k_fold_cv` replaced: one fit, and so one set of
+# forked workers, per fold.
 
 
 def k_fold_cv_loop(X, labels, folds, seed, params=None):
@@ -550,7 +552,7 @@ def k_fold_cv_loop(X, labels, folds, seed, params=None):
     from linkanomaly.anomaly import META_FEATURE_NAMES
     from linkanomaly.evaluation import (EvaluationReport, _fold_means, auc,
                                         confusion_metrics)
-    from linkanomaly.forest import ForestParams, train_forest
+    from linkanomaly.forest import ForestParams, train_forests
     from linkanomaly.rng import generator, seed_key
 
     X = np.asarray(X, dtype=np.float64)
@@ -567,8 +569,8 @@ def k_fold_cv_loop(X, labels, folds, seed, params=None):
     report = EvaluationReport(run_count=1, seeds=[])
     for f in range(folds):
         test = fold_of == f
-        forest = train_forest(None, params, key + (1, f), X=X[~test], y=y[~test],
-                              feature_names=META_FEATURE_NAMES)
+        forest = train_forests([(X[~test], y[~test], key + (1, f))], params,
+                               META_FEATURE_NAMES)[0]
         scores = forest.predict_proba_many(X[test])
         entry = {"run": 0, "fold": f, "auc": auc(scores, y[test])}
         entry.update(confusion_metrics((scores >= 0.5).astype(int), y[test]))

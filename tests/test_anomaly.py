@@ -8,11 +8,12 @@ from linkanomaly import (ForestParams, build_graph, edge_probabilities,
 from linkanomaly.anomaly import META_FEATURE_NAMES
 from linkanomaly.errors import (EmptyNeighborhoodError, ParameterError,
                                 ShapeError)
+from linkanomaly.features import FEATURE_NAMES_DIRECTED, FEATURE_NAMES_UNDIRECTED
 
 from _oracles import meta_features, profile_vertices_loop, rank_vertices_sorted
 
 
-def _constant_forest(value=0.5, n_features=7):
+def _constant_forest(value=0.5, names=FEATURE_NAMES_UNDIRECTED):
     """A single-leaf forest emitting a constant vote fraction."""
     from linkanomaly.forest import LinkForest, _Tree
 
@@ -20,8 +21,7 @@ def _constant_forest(value=0.5, n_features=7):
     tree = _Tree(np.array([-1], dtype=np.int32), np.array([0.0]),
                  np.array([-1], dtype=np.int32), np.array([-1], dtype=np.int32),
                  np.array([100 - c1]), np.array([c1]))
-    return LinkForest([tree], ForestParams(tree_count=1), seed=0,
-                      n_features=n_features)
+    return LinkForest([tree], ForestParams(tree_count=1), seed=0, feature_names=names)
 
 
 def test_edge_probabilities_cardinality(triangle):
@@ -48,11 +48,8 @@ def test_edge_probabilities_isolated_vertex_errors():
 
 
 def test_edge_probabilities_feature_mode_guard():
-    from linkanomaly.features import FEATURE_NAMES_UNDIRECTED
-
     g = build_graph([("a", "b"), ("b", "c")], directed=True)
-    f = _constant_forest()
-    f.feature_names = FEATURE_NAMES_UNDIRECTED  # undirected forest, directed graph
+    f = _constant_forest(names=FEATURE_NAMES_UNDIRECTED)  # undirected forest, directed graph
     with pytest.raises(ShapeError):
         edge_probabilities(f, g, 0)
 
@@ -61,7 +58,7 @@ def test_edge_probabilities_stub_table_lookup():
     # forest stub mapping each edge to a preset table
     class Stub:
         n_features = 7
-        feature_names = None
+        feature_names = FEATURE_NAMES_UNDIRECTED
 
         def __init__(self, table):
             self.table = table
@@ -77,7 +74,7 @@ def test_edge_probabilities_stub_table_lookup():
 
     class SeqStub:
         n_features = 7
-        feature_names = None
+        feature_names = FEATURE_NAMES_UNDIRECTED
 
         def predict_proba_many(self, X):
             return np.array(queue[:len(X)])
@@ -170,7 +167,7 @@ def test_profile_vertices_skips_empty():
 
 def test_profile_vertices_directed_modes():
     g = build_graph([("a", "b"), ("c", "a"), ("a", "d")], directed=True)
-    f = _constant_forest(n_features=16)
+    f = _constant_forest(names=FEATURE_NAMES_DIRECTED)
     a = g.id_of("a")
     out_p, _ = profile_vertices(f, g, [a], mode="out")
     in_p, _ = profile_vertices(f, g, [a], mode="in")
@@ -287,10 +284,9 @@ class _RandomScores:
     vertices' statistics and ranked values.
     """
 
-    feature_names = None
-
-    def __init__(self, coarse):
+    def __init__(self, coarse, directed):
         self.coarse = coarse
+        self.feature_names = FEATURE_NAMES_DIRECTED if directed else FEATURE_NAMES_UNDIRECTED
 
     def predict_proba_many(self, X):
         p = np.random.default_rng(len(X)).random(len(X))
@@ -302,7 +298,7 @@ class _RandomScores:
                                             (True, "all")])
 def test_profile_vertices_and_ranking_are_bit_identical_to_loops(directed, mode, coarse):
     g = _hub_host(directed)
-    forest = _RandomScores(coarse)
+    forest = _RandomScores(coarse, directed)
     rng = np.random.default_rng(7)
     n = g.vertex_count
     hubs = list(range(len(HUB_DEGREES)))
@@ -329,7 +325,7 @@ def test_profile_vertices_and_ranking_are_bit_identical_to_loops(directed, mode,
 ])
 def test_profile_vertices_checks_arguments_without_edges(kwargs, message):
     g = build_graph([("a", "b")], directed=True)
-    f = _constant_forest(n_features=16)
+    f = _constant_forest(names=FEATURE_NAMES_DIRECTED)
     assert profile_vertices(f, g, [g.id_of("b")]) == ([], [g.id_of("b")])
     with pytest.raises(ParameterError, match=message):
         profile_vertices(f, g, [g.id_of("b")], **kwargs)

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from linkanomaly import (ForestParams, auc, build_link_training_set,
-                         generate_ba, inject_anomalies, train_forest)
+from linkanomaly import (ForestParams, auc, build_link_training_set, feature_names,
+                         generate_ba, inject_anomalies, train_forests)
 from linkanomaly.evaluation import injection_count
 
 from _oracles import (auc_pair_counting, ceiling_margin, degree_pair_ceiling_auc,
@@ -104,8 +104,9 @@ def test_shuffled_label_forest_fails_the_ceiling_bound():
     bound = ceiling - ceiling_margin(ceiling, per_holdout)
     params = ForestParams(tree_count=30, min_leaf_size=25)
     shuffled = np.random.default_rng(14).permutation(y[in_train])
-    fitted = train_forest(None, params, 15, X=X[in_train], y=y[in_train])
-    blind = train_forest(None, params, 15, X=X[in_train], y=shuffled)
+    names = feature_names(g.directed)
+    fitted = train_forests([(X[in_train], y[in_train], 15)], params, names)[0]
+    blind = train_forests([(X[in_train], shuffled, 15)], params, names)[0]
 
     fitted_auc = auc(fitted.predict_proba_many(X[~in_train]), y[~in_train])
     blind_auc = auc(blind.predict_proba_many(X[~in_train]), y[~in_train])

@@ -18,9 +18,22 @@ def _examples(X, y):
     return [TrainingExample(np.asarray(r, dtype=float), int(l)) for r, l in zip(X, y)]
 
 
+def _names(d):
+    return tuple(f"f{i}" for i in range(d))
+
+
+def _fit_examples(ex, params, seed):
+    return train_forest(ex, params, seed, feature_names=_names(len(ex[0].features)))
+
+
+def _fit_arrays(X, y, params, seed):
+    """The forest a lone array fit gives."""
+    return train_forests([(X, y, seed)], params, _names(np.shape(X)[1]))[0]
+
+
 def test_separable_single_feature():
     ex = _examples([[0.0]] * 100 + [[1.0]] * 100, [0] * 100 + [1] * 100)
-    f = train_forest(ex, ForestParams(tree_count=10), seed=1)
+    f = _fit_examples(ex, ForestParams(tree_count=10), 1)
     assert f.predict_proba_many([[0.0], [1.0]]).tolist() == [0.0, 1.0]
     # every tree must have split on the only feature
     assert all(t.feature[0] == 0 for t in f.trees)
@@ -28,14 +41,14 @@ def test_separable_single_feature():
 
 def test_held_out_midpoint_goes_positive():
     ex = _examples([[0.0]] * 100 + [[1.0]] * 100, [0] * 100 + [1] * 100)
-    f = train_forest(ex, ForestParams(tree_count=10), seed=1)
+    f = _fit_examples(ex, ForestParams(tree_count=10), 1)
     assert f.predict_proba_many([[0.9]])[0] > 0.5
 
 
 def test_unsplittable_point_votes_near_half():
     ex = _examples([[3.0], [3.0]], [0, 1])
     for seed in range(5):
-        f = train_forest(ex, ForestParams(tree_count=100), seed=seed)
+        f = _fit_examples(ex, ForestParams(tree_count=100), seed)
         assert 0.4 <= f.predict_proba_many([[3.0]])[0] <= 0.6
 
 
@@ -44,8 +57,8 @@ def test_same_seed_identical_predictions():
     X = rng.normal(size=(200, 4))
     y = (X[:, 0] + X[:, 1] > 0).astype(int)
     probe = rng.normal(size=(50, 4))
-    f1 = train_forest(None, ForestParams(tree_count=20), seed=7, X=X, y=y)
-    f2 = train_forest(None, ForestParams(tree_count=20), seed=7, X=X, y=y)
+    f1 = _fit_arrays(X, y, ForestParams(tree_count=20), 7)
+    f2 = _fit_arrays(X, y, ForestParams(tree_count=20), 7)
     assert np.array_equal(f1.predict_proba_many(probe), f2.predict_proba_many(probe))
 
 
@@ -55,26 +68,26 @@ def test_training_order_invariance():
     y = (X[:, 2] > 0.2).astype(int)
     probe = rng.normal(size=(20, 3))
     perm = rng.permutation(len(X))
-    f1 = train_forest(None, ForestParams(tree_count=15), seed=3, X=X, y=y)
-    f2 = train_forest(None, ForestParams(tree_count=15), seed=3, X=X[perm], y=y[perm])
+    f1 = _fit_arrays(X, y, ForestParams(tree_count=15), 3)
+    f2 = _fit_arrays(X[perm], y[perm], ForestParams(tree_count=15), 3)
     assert np.array_equal(f1.predict_proba_many(probe), f2.predict_proba_many(probe))
 
 
 def test_single_class_rejected():
     ex = _examples([[0.0], [1.0]], [1, 1])
     with pytest.raises(DegenerateTrainingError):
-        train_forest(ex, ForestParams(), seed=0)
+        _fit_examples(ex, ForestParams(), 0)
 
 
 def test_ragged_features_rejected():
     ex = [TrainingExample(np.array([1.0]), 0), TrainingExample(np.array([1.0, 2.0]), 1)]
     with pytest.raises(ShapeError):
-        train_forest(ex, ForestParams(), seed=0)
+        _fit_examples(ex, ForestParams(), 0)
 
 
 def test_predict_shape_mismatch():
     ex = _examples([[0.0], [1.0]], [0, 1])
-    f = train_forest(ex, ForestParams(tree_count=5), seed=0)
+    f = _fit_examples(ex, ForestParams(tree_count=5), 0)
     with pytest.raises(ShapeError):
         f.predict_proba_many([[0.0, 1.0]])
 
@@ -83,7 +96,7 @@ def test_probabilities_bounded():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(300, 5))
     y = rng.integers(0, 2, 300)
-    f = train_forest(None, ForestParams(tree_count=30), seed=1, X=X, y=y)
+    f = _fit_arrays(X, y, ForestParams(tree_count=30), 1)
     p = f.predict_proba_many(rng.normal(size=(100, 5)))
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
@@ -91,7 +104,7 @@ def test_probabilities_bounded():
 def test_pure_leaf_probabilities():
     # a forest of one stump over a clean split gives exact 0/1
     ex = _examples([[0.0]] * 50 + [[1.0]] * 50, [0] * 50 + [1] * 50)
-    f = train_forest(ex, ForestParams(tree_count=1), seed=2)
+    f = _fit_examples(ex, ForestParams(tree_count=1), 2)
     assert f.predict_proba_many([[1.0], [0.0]]).tolist() == [1.0, 0.0]
 
 
@@ -110,7 +123,7 @@ def _separable_benchmark(n=500, seed=0):
 
 def test_linearly_separable_accuracy():
     X, y = _separable_benchmark()
-    f = train_forest(None, ForestParams(tree_count=100), seed=1, X=X[:400], y=y[:400])
+    f = _fit_arrays(X[:400], y[:400], ForestParams(tree_count=100), 1)
     pred = f.predict_proba_many(X[400:]) >= 0.5
     assert (pred == y[400:]).mean() >= 0.95
 
@@ -119,7 +132,7 @@ def test_tree_count_stability_log_loss():
     X, y = _separable_benchmark(seed=3)
     losses = {}
     for count in (10, 100):
-        f = train_forest(None, ForestParams(tree_count=count), seed=5, X=X[:400], y=y[:400])
+        f = _fit_arrays(X[:400], y[:400], ForestParams(tree_count=count), 5)
         p = np.clip(f.predict_proba_many(X[400:]), 1e-6, 1 - 1e-6)
         losses[count] = -np.mean(y[400:] * np.log(p) + (1 - y[400:]) * np.log(1 - p))
     assert losses[100] <= losses[10] + 0.05
@@ -129,7 +142,7 @@ def test_node_invariants():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(120, 4))
     y = rng.integers(0, 2, 120)
-    f = train_forest(None, ForestParams(tree_count=10), seed=9, X=X, y=y)
+    f = _fit_arrays(X, y, ForestParams(tree_count=10), 9)
     for t in f.trees:
         internal = t.feature >= 0
         assert np.all(t.feature[internal] < 4)
@@ -141,8 +154,7 @@ def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(100, 3))
     y = (X[:, 0] > 0).astype(int)
-    f = train_forest(None, ForestParams(tree_count=12), seed=4, X=X, y=y,
-                     feature_names=("a", "b", "c"))
+    f = train_forests([(X, y, 4)], ForestParams(tree_count=12), ("a", "b", "c"))[0]
     path = tmp_path / "forest.json"
     f.save(path)
     g = LinkForest.load(path)
@@ -150,6 +162,22 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(f.predict_proba_many(probe), g.predict_proba_many(probe))
     assert g.feature_names == ("a", "b", "c")
     assert g.params == f.params
+
+
+@pytest.mark.parametrize("columns, names, message", [
+    (0, (), r"bad training shapes X=\(10, 0\)"),
+    (3, _names(5), "must list 3 strings"),
+    (3, (0, 1, 2), "must list 3 strings"),
+], ids=["no_columns", "more_names_than_columns", "names_not_strings"])
+def test_fit_refuses_what_load_refuses(monkeypatch, tmp_path, columns, names, message):
+    # each fit used to grow a forest whose saved file its own loader rejects
+    X = np.random.default_rng(0).normal(size=(10, columns))
+    y = np.arange(10) % 2
+    monkeypatch.setattr(forest, "_grow_trees", lambda fits, params: pytest.fail("grew trees"))
+    with pytest.raises(ShapeError, match=message):
+        f = train_forests([(X, y, 1)], ForestParams(tree_count=2), names)[0]
+        f.save(tmp_path / "forest.json")
+        LinkForest.load(tmp_path / "forest.json")
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -177,9 +205,9 @@ def _parallel_data():
 
 
 def _batch():
-    """Three fits with different row counts, seeds and feature counts."""
+    """Three fits with different row counts, seeds and column orders."""
     X, y = _parallel_data()
-    return [(X, y, (5, 6)), (X[:250], y[:250], (5, 7)), (X[:120, :3], y[:120], 8)]
+    return [(X, y, (5, 6)), (X[:250], y[:250], (5, 7)), (X[:120, ::-1], y[:120], 8)]
 
 
 def _serial_grow_trees(fits, params):
@@ -201,7 +229,7 @@ def _fit(monkeypatch, tmp_path, params, workers, fits=None):
         monkeypatch.setattr(forest, "_grow_trees", _serial_grow_trees)
     else:
         monkeypatch.setattr(forest, "_worker_count", lambda jobs, work: min(workers, jobs))
-    forests = train_forests(fits or _batch()[:1], params)
+    forests = train_forests(fits or _batch()[:1], params, _names(5))
     monkeypatch.undo()
     return [(f.trees, _saved(f, tmp_path / f"forest-{workers}-{i}.json"))
             for i, f in enumerate(forests)]
@@ -234,7 +262,7 @@ def test_forked_workers_grow_the_serial_forest(monkeypatch, tmp_path, tree_count
 def test_batched_fits_equal_lone_fits(monkeypatch, tmp_path, workers):
     # 7 trees a fit: with 2 or 3 workers a chunk's jobs straddle the fits
     params = ForestParams(tree_count=7)
-    lone = [_saved(train_forest(None, params, seed, X=X, y=y), tmp_path / f"lone-{i}.json")
+    lone = [_saved(_fit_arrays(X, y, params, seed), tmp_path / f"lone-{i}.json")
             for i, (X, y, seed) in enumerate(_batch())]
     batch = _fit(monkeypatch, tmp_path, params, workers, _batch())
     _assert_no_children_left()
@@ -245,7 +273,8 @@ def test_batch_checks_every_fit_before_growing(monkeypatch):
     X, y = _parallel_data()
     monkeypatch.setattr(forest, "_grow_trees", lambda fits, params: pytest.fail("grew trees"))
     with pytest.raises(DegenerateTrainingError, match="single class"):
-        train_forests([(X, y, 1), (X, np.zeros_like(y), 2)], ForestParams(tree_count=3))
+        train_forests([(X, y, 1), (X, np.zeros_like(y), 2)], ForestParams(tree_count=3),
+                      _names(5))
 
 
 @pytest.mark.parametrize("variant", [{}, {"max_depth": 3}, {"features_per_split": 1},
@@ -327,7 +356,7 @@ def test_predict_equals_per_tree_walk_over_row_major_X(d, tree_count):
     rng = np.random.default_rng(d)
     X = np.round(rng.normal(size=(500, d)), 1)
     y = (X[:, 0] + X[:, 1] * X[:, d - 1] + rng.normal(size=500) > 0).astype(int)
-    f = train_forest(None, ForestParams(tree_count=tree_count), seed=(d, tree_count), X=X, y=y)
+    f = _fit_arrays(X, y, ForestParams(tree_count=tree_count), (d, tree_count))
     # rows on the thresholds themselves check that ties go left
     thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in f.trees])
     probe = np.vstack([X[:200], rng.normal(size=(100, d)),
@@ -351,7 +380,7 @@ def test_predict_loaded_forest_with_scattered_children(tmp_path):
     path = tmp_path / "forest.json"
     path.write_text(json.dumps({
         "format": forest.FOREST_FORMAT, "version": forest.FOREST_VERSION, "n_features": 2,
-        "feature_names": None, "seed": [1], "trees": [tree, leaf],
+        "feature_names": ["a", "b"], "seed": [1], "trees": [tree, leaf],
         "params": {"tree_count": 2, "features_per_split": None, "min_leaf_size": 1,
                    "max_depth": None}}))
     f = LinkForest.load(path)
@@ -393,7 +422,8 @@ def test_tree_error_raises_its_own_type_in_the_parent(monkeypatch, fail_tree):
     monkeypatch.setattr(forest, "_worker_count", lambda jobs, work: 3)
     monkeypatch.setattr(forest, "_grow_tree", _failing_grow_tree(fail_tree, _raise))
     with pytest.raises(_TreeFailure, match="tree failed"):
-        train_forests([(X, y, 1), (X[:250], y[:250], 2)], ForestParams(tree_count=9))
+        train_forests([(X, y, 1), (X[:250], y[:250], 2)], ForestParams(tree_count=9),
+                      _names(5))
     _assert_no_children_left()
 
 
@@ -448,5 +478,4 @@ def test_worker_count_bounds():
 
 def test_labels_other_than_0_and_1_rejected():
     with pytest.raises(ParameterError, match="labels must be 0 or 1"):
-        train_forest(None, ForestParams(tree_count=2), seed=0,
-                     X=[[0.0], [1.0], [2.0]], y=[0, 1, 2])
+        _fit_arrays([[0.0], [1.0], [2.0]], [0, 1, 2], ForestParams(tree_count=2), 0)

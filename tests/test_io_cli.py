@@ -436,6 +436,10 @@ DAMAGE = {
     "empty_leaf": lambda doc, t: (t["count0"].__setitem__(_leaf(t), 0),
                                   t["count1"].__setitem__(_leaf(t), 0)),
     "feature_names_too_short": lambda doc, t: doc["feature_names"].pop(),
+    # names that are not strings loaded, and scoring then blamed the graph mode
+    "feature_names_null": lambda doc, t: doc.__setitem__("feature_names", None),
+    "feature_names_not_strings": lambda doc, t: doc.__setitem__(
+        "feature_names", list(range(doc["n_features"]))),
     "node_array_not_numbers": lambda doc, t: t.__setitem__("threshold", ["x"] * len(t["feature"])),
     "no_trees": lambda doc, t: doc.__setitem__("trees", []),
     # a seed that is not a list of non-negative integers loaded as it was
@@ -465,6 +469,8 @@ def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
                            "--vertices", vertices, "--out", tmp_path / "p.csv")
     assert done.returncode == 2, done.stderr
     assert "data error" in done.stderr
+    if damage.startswith("feature_names"):
+        assert "feature_names" in done.stderr
 
 
 # the json module raises RecursionError on deep nesting and ValueError on a
@@ -931,6 +937,20 @@ def test_cli_evaluate_unusable_input_is_a_usage_error(tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err and "stage" not in err
     assert not report.exists()
+
+
+def test_cli_evaluate_names_a_label_that_no_vertex_has(tmp_path, score_inputs, capsys):
+    # a labels file naming no host vertex leaves every vertex normal; the
+    # anomalous draw used to spend its whole budget and blame the constraints
+    graph, _, _ = score_inputs
+    labels, config = tmp_path / "labels.csv", tmp_path / "exp.cfg"
+    write_labels(labels, {"not-a-host-vertex": 1})
+    config.write_text(f"graph_path = {graph}\nanomaly_source = provided\n"
+                      f"labels_path = {labels}\n")
+    assert main(["-q", "evaluate", "--config", str(config), "--report-out",
+                 str(tmp_path / "r.json"), "--pk-out", str(tmp_path / "pk.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "sample-test-set" in err and "no vertex has label 1" in err
 
 
 # the permission case (PermissionError) takes the same path; it cannot be set

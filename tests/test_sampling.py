@@ -215,7 +215,7 @@ def test_inject_deterministic():
 
 def test_sample_complete_graph():
     g = complete_graph(6)
-    ts = sample_test_vertices(g, 2, None, 3, seed=0)
+    ts = sample_test_vertices(g, 2, NORMAL, 3, seed=0)
     assert len(ts.selected) == 2
     # every selected vertex contributed its 5 neighbors: the whole clique
     assert ts.vertices.tolist() == list(range(6))
@@ -225,13 +225,13 @@ def test_sample_star_exhausts():
     names = [("c", f"l{i}") for i in range(9)]
     g = build_graph(names, directed=False)
     with pytest.raises(ExhaustionError, match="budget"):
-        sample_test_vertices(g, 1, None, 3, seed=0)
+        sample_test_vertices(g, 1, NORMAL, 3, seed=0)
 
 
 def test_sample_path_exhausts():
     g = build_graph([(f"p{i}", f"p{i+1}") for i in range(9)], directed=False)
     with pytest.raises(ExhaustionError):
-        sample_test_vertices(g, 1, None, 3, seed=0)
+        sample_test_vertices(g, 1, NORMAL, 3, seed=0)
 
 
 def test_sample_label_filter():
@@ -245,17 +245,17 @@ def test_sample_label_filter():
 
 def test_sample_label_filter_on_an_unlabeled_graph():
     # a graph built without labels is all normal: the anomalous filter
-    # matches no vertex, the normal one every vertex
+    # matches no vertex (said before any draw), the normal one every vertex
     g = generate_ba(200, 3, seed=0)
-    with pytest.raises(ExhaustionError, match="accepted 0/1 vertices"):
+    with pytest.raises(ExhaustionError, match="no vertex has label 1"):
         sample_test_vertices(g, 1, ANOMALOUS, 2, seed=2)
-    normal, unfiltered = (sample_test_vertices(g, 10, f, 2, seed=2) for f in (NORMAL, None))
-    assert normal.selected == unfiltered.selected and normal.labels == unfiltered.labels
+    normal = sample_test_vertices(g, 10, NORMAL, 2, seed=2)
+    assert len(normal.selected) == 10 and set(normal.labels.values()) == {NORMAL}
 
 
 def test_sample_vertices_distinct_and_qualified():
     g = generate_ba(500, 4, seed=5)
-    ts = sample_test_vertices(g, 50, None, 3, seed=6)
+    ts = sample_test_vertices(g, 50, NORMAL, 3, seed=6)
     assert len(set(ts.selected)) == 50
     degs = g.degrees("all")
     assert (degs[ts.vertices] > 3).all()
@@ -263,8 +263,8 @@ def test_sample_vertices_distinct_and_qualified():
 
 def test_sample_deterministic():
     g = generate_ba(300, 3, seed=1)
-    a = sample_test_vertices(g, 20, None, 3, seed=4)
-    b = sample_test_vertices(g, 20, None, 3, seed=4)
+    a = sample_test_vertices(g, 20, NORMAL, 3, seed=4)
+    b = sample_test_vertices(g, 20, NORMAL, 3, seed=4)
     assert a.selected == b.selected and np.array_equal(a.vertices, b.vertices)
 
 
@@ -292,7 +292,7 @@ def _test_set_hosts():
 
 
 @pytest.mark.parametrize("host", [pytest.param(g, id=name) for name, g in _test_set_hosts()])
-@pytest.mark.parametrize("label_filter", [None, NORMAL, ANOMALOUS])
+@pytest.mark.parametrize("label_filter", [NORMAL, ANOMALOUS])
 def test_sample_vertices_equal_vertex_at_a_time_loop(host, label_filter):
     n = host.vertex_count
     # the last two requests run out of budget: more vertices than qualify,
@@ -412,7 +412,7 @@ def test_every_sampling_stage_refuses_a_live_generator():
     g = generate_ba(60, 2, seed=0)
     stages = [lambda rng: generate_ba(60, 2, rng),
               lambda rng: inject_anomalies(g, 3, rng),
-              lambda rng: sample_test_vertices(g, 2, None, 1, rng),
+              lambda rng: sample_test_vertices(g, 2, NORMAL, 1, rng),
               lambda rng: sample_training_pairs(g, set(), 5, rng)]
     for stage in stages:
         with pytest.raises(TypeError):
