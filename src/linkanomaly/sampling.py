@@ -18,6 +18,7 @@ Both rejection samplers, of test vertices and of non-edges, share one loop.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,11 @@ def generate_ba(n: int, m: int, seed) -> Graph:
 
     Starts from a clique of m+1 vertices; each arriving vertex attaches m
     edges to distinct existing vertices with probability proportional to
-    current degree.
+    current degree: a uniform index into the flattened edge rows, where each
+    vertex appears once per unit of degree (Batagelj & Brandes 2005). The
+    draws come a block of vertices at a time, and each pass over a block
+    resolves every row before the first one that reads a target slot not
+    yet resolved (-1) or that holds a repeat.
     """
     if m < 1:
         raise ParameterError(f"edges-per-new-vertex m must be >= 1, got {m}")
@@ -68,53 +73,53 @@ def generate_ba(n: int, m: int, seed) -> Graph:
         raise ParameterError(f"need n > m, got n={n}, m={m}")
     rng = generator(seed)
 
-    # every edge (u, v) in order, flattened: each vertex appears once per
-    # unit of degree, so sampling an index is sampling a vertex with
-    # probability proportional to degree
-    repeated = [w for i in range(m + 1) for j in range(i + 1, m + 1) for w in (i, j)]
-    source = m + 1
-    while source < n:
-        # Vertex s draws from the first m(m+1) + 2m(s-m-1) entries, so a
-        # block's first m draws per vertex come from one array-bound call,
-        # which consumes the stream exactly as the same scalar calls would.
-        block = range(source, min(source + _BA_BLOCK, n))
-        highs = np.repeat(m * (m + 1) + 2 * m * (np.arange(block.start, block.stop) - m - 1), m)
+    # the clique's rows and every arriving vertex's source slots are known
+    # up front; arriving vertex m + 1 + a owns rows[a]
+    clique = m * (m + 1) // 2
+    repeated = np.full(2 * (clique + m * (n - m - 1)), -1, dtype=np.int64)
+    repeated[:2 * clique] = np.column_stack(np.triu_indices(m + 1, 1)).ravel()
+    rows = repeated[2 * clique:].reshape(-1, m, 2)
+    rows[:, :, 1] = np.arange(m + 1, n)[:, None]
+    a = 0
+    while a < len(rows):
+        # rows[a] draws from the m(m+1) + 2ma slots before it, so a block's
+        # first m draws per vertex come from one array-bound call, which
+        # consumes the stream exactly as the same scalar calls would
+        highs = np.repeat(2 * clique + 2 * m * np.arange(a, min(a + _BA_BLOCK, len(rows))), m)
         state = rng.bit_generator.state
-        draws = rng.integers(0, highs).tolist()
-        for i, s in enumerate(block):
-            targets = {repeated[d] for d in draws[i * m:(i + 1) * m]}
-            short = len(targets) < m
-            if short:
+        draws = rng.integers(0, highs).reshape(-1, m)
+        done = 0
+        while done < len(draws):
+            # a -1 is a target of an earlier vertex in this block, which this
+            # pass resolves; row `done` reads none, so argmax 0 means no row does
+            got = repeated[draws[done:]]
+            ready = np.sort(got[:(got < 0).any(axis=1).argmax() or len(got)], axis=1)
+            repeat = (ready[:, 1:] == ready[:, :-1]).any(axis=1)
+            ok = int(repeat.argmax()) if repeat.any() else len(ready)
+            rows[a + done:a + done + ok, :, 0] = ready[:ok]
+            done += ok
+            if ok < len(ready):
                 # a repeat: put the stream where the scalar draws through
                 # this vertex leave it, redraw from there, and end the block
                 rng.bit_generator.state = state
-                rng.integers(0, highs[:(i + 1) * m])
+                rng.integers(0, highs[:(done + 1) * m])
+                targets = set(ready[ok].tolist())
                 while len(targets) < m:
-                    targets.add(repeated[int(rng.integers(len(repeated)))])
-            for t in sorted(targets):
-                repeated.append(t)
-                repeated.append(s)
-            if short:
-                source = s + 1
+                    targets.add(int(repeated[int(rng.integers(highs[done * m]))]))
+                rows[a + done, :, 0] = sorted(targets)
+                done += 1
                 break
-        else:
-            source = block.stop
+        a += done
 
     width = len(str(n - 1))
-    names = [f"v{i:0{width}d}" for i in range(n)]
-    return Graph(names, np.array(repeated, dtype=np.int64).reshape(-1, 2), directed=False)
+    names = list(map(f"v%0{width}d".__mod__, range(n)))
+    return Graph(names, repeated.reshape(-1, 2), directed=False)
 
 
-def _fresh_names(g: Graph, count: int, prefix: str = "fake") -> list[str]:
-    taken = set(g.names)
-    names, i = [], 0
+def _fresh_names(g: Graph, count: int) -> list[str]:
     width = len(str(max(count - 1, 1)))
-    while len(names) < count:
-        cand = f"{prefix}{i:0{width}d}"
-        if cand not in taken:
-            names.append(cand)
-        i += 1
-    return names
+    fresh = map(f"fake%0{width}d".__mod__, itertools.count())
+    return list(itertools.islice(itertools.filterfalse(set(g.names).__contains__, fresh), count))
 
 
 def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:

@@ -1,7 +1,10 @@
 import faulthandler
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkanomaly import (ANOMALOUS, NORMAL, build_graph, build_link_training_set,
                          generate_ba, inject_anomalies, sample_test_vertices)
@@ -81,6 +84,35 @@ def test_ba_equals_scalar_draw_loop(n, m, seed):
         names, edges = ba_loop(n, m, generator(key))
         assert g.edges.tobytes() == np.array(edges, dtype=np.int64).tobytes()
         assert g.names == names
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ba_equals_scalar_draw_loop_at_random_sizes(data):
+    # m up to n - 1 on small hosts, so that rows that read a target of an
+    # earlier vertex in their block and rows that repeat a target (a replay)
+    # both occur; n * m stays near 6,000 scalar draws to keep the loop quick
+    n = data.draw(st.integers(2, 600), label="n")
+    m = data.draw(st.integers(1, min(n - 1, 6000 // n)), label="m")
+    key = data.draw(st.integers(0, 2**32 - 1), label="key")
+    g = generate_ba(n, m, key)
+    names, edges = ba_loop(n, m, generator(key))
+    assert g.edges.tobytes() == np.array(edges, dtype=np.int64).reshape(-1, 2).tobytes()
+    assert g.names == names
+
+
+@pytest.mark.parametrize("n, m, edges_sha, names_sha", [
+    (30000, 6, "e27201904becbf7ea16cd950d58c91f9a03cd91f03d365b62198b216b02d4abe",
+     "aab9195be24dcdb36bfe55bf84095988ee6644f0e92b90d3f047476074148935"),
+    (50000, 4, "5bc0fc0cd84d683929e127516e40374b16c0aa8a7823f67a9a2f5f40c0c3cdcf",
+     "6af17b9931dd06bc10d4cec9244ca86078ff784f5245297799f136d582397d5d"),
+], ids=["ba30k", "ba50k"])
+def test_paper_hosts_keep_their_bytes(n, m, edges_sha, names_sha):
+    # (1234, 0) is the generate key of configs/fully_simulated_30k.cfg and of
+    # every perfbench workload at seed 1234; train-link-ba50k grows BA(50000, 4)
+    g = generate_ba(n, m, (1234, 0))
+    assert hashlib.sha256(g.edges.tobytes()).hexdigest() == edges_sha
+    assert hashlib.sha256("\n".join(g.names).encode()).hexdigest() == names_sha
 
 
 def test_ba_bad_params():
