@@ -3,15 +3,15 @@
 Vertex names become dense integer ids in one place, :func:`graph_from_names`,
 which :func:`build_graph` and the edge-list loader both call: ids go in
 sorted name order, so the same edge multiset yields an identical graph in
-any input order.  The :class:`Graph` constructor is the one place that
-cleans id rows: it drops self-loops and duplicates, counting both, and puts
-undirected rows in (min, max) form.  Each neighbor view (all, in, out)
-is one ascending int64 array of edge keys `row * n + col`, from which its
-CSR row offsets and sorted int32 neighbor ids are derived.  The views are
-built on first use, so a graph read only for its edges and degrees never
-builds them.  A neighbor query is a constant-time slice, and a batch of
-membership queries is one `np.searchsorted` over the keys
-(:meth:`Graph.adjacent`).
+any input order.  One :class:`Graph` method cleans id rows, for the
+constructor and for :meth:`Graph.with_vertices`: it drops self-loops and
+duplicates, counting both, and puts undirected rows in (min, max) form.
+Each neighbor view (all, in, out) is one ascending int64 array of edge
+keys `row * n + col`, from which its CSR row offsets and sorted int32
+neighbor ids are derived.  The views are built on first use, so a graph
+read only for its edges and degrees never builds them.  A neighbor query
+is a constant-time slice, and a batch of membership queries is one
+`np.searchsorted` over the keys (:meth:`Graph.adjacent`).
 """
 
 from __future__ import annotations
@@ -54,6 +54,28 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (row, col) id rows of edge keys `row * n + col`."""
+    rows = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(rows[:, 0], rows[:, 1]))
+    return rows
+
+
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the ascending union of the ascending int64 arrays `a` and `b`, each
+    value once, the values of `b` that `a` lacks), where `a` has no repeats."""
+    at = np.searchsorted(a, b)
+    fresh = at == len(a)
+    fresh[~fresh] = a[at[~fresh]] != b[~fresh]
+    b, at = b[fresh], at[fresh] + np.arange(np.count_nonzero(fresh))
+    out = np.empty(len(a) + len(b), dtype=np.int64)
+    out[at] = b
+    held = np.ones(len(out), dtype=bool)
+    held[at] = False
+    out[held] = a
+    return out, b
+
+
 def _member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Whether each query value occurs in the ascending array `keys`."""
     pos = np.searchsorted(keys, query)
@@ -69,52 +91,72 @@ class Graph:
     and repeated rows (a reversed row repeats an undirected edge), keeps
     the counts in `dropped_self_loops` and `dropped_duplicates`, and stores
     the rest sorted, undirected rows as (min, max).  Graphs from names come
-    from :func:`build_graph` or :func:`linkanomaly.io.load_edge_list`.
+    from :func:`build_graph` or :func:`linkanomaly.io.load_edge_list`;
+    :meth:`with_vertices` extends one.
     """
 
     def __init__(self, names: Sequence[str], edges: np.ndarray, directed: bool,
                  labels: np.ndarray | None = None):
-        n = len(names)
-        self._names = list(names)
-        self._name_to_id = {name: i for i, name in enumerate(self._names)}
-        if len(self._name_to_id) != n:
-            raise ParameterError("vertex names are not unique")
         self.directed = bool(directed)
+        self._names: list[str] = []
+        self._name_to_id: dict[str, int] = {}
+        self._edges = np.empty((0, 2), dtype=np.int64)
+        self._degrees = dict.fromkeys(DIRECTION_MODES, np.empty(0, dtype=np.int64))
+        self._labels = np.empty(0, dtype=np.int8)
+        self._add(names, edges, labels)
+
+    def _add(self, names: Sequence[str], edges: np.ndarray, labels: np.ndarray | None) -> None:
+        """Append `names` as vertices carrying `labels` (all normal when None)
+        and the id rows `edges`, cleaned as the class docstring says; the
+        drop counts are those of `edges`."""
+        n0, n = len(self._names), len(self._names) + len(names)
+        self._names = self._names + list(names)
+        # the held index is copied, so only the new names are checked
+        index = dict(self._name_to_id)
+        index.update(zip(names, itertools.count(n0)))
+        if len(index) != n:
+            raise ParameterError("vertex names are not unique")
+        self._name_to_id = index
+
+        labels = np.zeros(n - n0, dtype=np.int8) if labels is None else np.asarray(labels, dtype=np.int8)
+        if labels.shape != (n - n0,):
+            raise ParameterError("labels array must have one entry per vertex")
+        self._labels = np.concatenate([self._labels, labels])
+        self._labels.setflags(write=False)
 
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges) and (edges.min() < 0 or edges.max() >= n):
             raise ParameterError(f"edge endpoints must be vertex ids in [0, {n})")
         u, v = edges[:, 0], edges[:, 1]
         keys = u * n + v
-        if not directed:
+        if not self.directed:
             # a * n + b < b * n + a when a < b: the smaller key is the (min, max) row's
             np.minimum(keys, v * n + u, out=keys)
         keys = keys[u != v]
         self.dropped_self_loops = len(edges) - len(keys)
-        # canonical order: sorted by (u, v), each row once
-        out = _sorted_unique(keys)
-        self.dropped_duplicates = len(keys) - len(out)
+        # canonical order: sorted by (u, v), each row once; the held rows keep
+        # their order under the new n, so the new keys merge into them
+        new = out = _sorted_unique(keys)
+        if len(self._edges):
+            out, new = _merge_sorted(self._edges[:, 0] * n + self._edges[:, 1], new)
+        self.dropped_duplicates = len(keys) - len(new)
         del keys
-        self._edges = np.empty((len(out), 2), dtype=np.int64)
-        np.divmod(out, n, out=(self._edges[:, 0], self._edges[:, 1]))
-        self._edges.setflags(write=False)
+        self._edges = _key_rows(out, n)
+        added = self._edges if new is out else _key_rows(new, n)
         # filled by _view; a copy from with_labels shares the dict, so one build serves both
         self._views: dict[str, _View] = {}
 
-        # the degrees that the edge rows give without a view
-        u, v = self._edges[:, 0], self._edges[:, 1]
-        degrees = {"out": np.bincount(u, minlength=n), "in": np.bincount(v, minlength=n)}
-        if not directed:
-            degrees = dict.fromkeys(DIRECTION_MODES, degrees["out"] + degrees["in"])
-        for d in degrees.values():
+        # the degrees that the edge rows give without a view: the held ones
+        # plus the new rows' counts (bincount copies a read-only input)
+        ends = {"out": added[:, 0], "in": added[:, 1]} if self.directed else {"all": added.ravel()}
+        degrees = {mode: np.bincount(ids, minlength=n) for mode, ids in ends.items()}
+        for mode, d in degrees.items():
+            d[:n0] += self._degrees[mode]
             d.setflags(write=False)
+        if not self.directed:
+            degrees = dict.fromkeys(DIRECTION_MODES, degrees["all"])
         self._degrees = degrees
-
-        labels = np.zeros(n, dtype=np.int8) if labels is None else np.asarray(labels, dtype=np.int8)
-        if labels.shape != (n,):
-            raise ParameterError("labels array must have one entry per vertex")
-        labels.setflags(write=False)
-        self._labels = labels
+        self._edges.setflags(write=False)
 
     # -- basic properties ---------------------------------------------------
 
@@ -144,6 +186,9 @@ class Graph:
     def name_of(self, v: int) -> str:
         self._check_vertex(v)
         return self._names[v]
+
+    def has_name(self, name: str) -> bool:
+        return name in self._name_to_id
 
     def id_of(self, name: str) -> int:
         try:
@@ -177,9 +222,8 @@ class Graph:
     def _vertex_ids(self, vertices) -> np.ndarray:
         """`vertices` as an int64 array, raising for the first id out of range."""
         vs = np.asarray(vertices, dtype=np.int64)
-        bad = (vs < 0) | (vs >= len(self._names))
-        if bad.any():
-            self._check_vertex(int(vs[bad][0]))
+        if vs.size and (vs.min() < 0 or vs.max() >= len(self._names)):
+            self._check_vertex(int(vs[(vs < 0) | (vs >= len(self._names))][0]))
         return vs
 
     def neighbors(self, v: int, mode: str = "all") -> np.ndarray:
@@ -222,14 +266,28 @@ class Graph:
 
     def with_labels(self, labels_by_name: Mapping[str, int]) -> "Graph":
         """Copy of this graph, sharing its edges and views, carrying labels;
-        names absent from the map are normal."""
+        names absent from the map are normal, and a name in it that is not a
+        vertex is an :class:`UnknownVertexError`."""
+        unknown = [name for name in labels_by_name if name not in self._name_to_id]
+        if unknown:
+            raise UnknownVertexError(f"{len(unknown)} labelled name(s) are not vertices of "
+                                     f"the graph, the first {unknown[0]!r}")
         arr = np.zeros(self.vertex_count, dtype=np.int8)
         for name, label in labels_by_name.items():
-            if name in self._name_to_id:
-                arr[self._name_to_id[name]] = label
+            arr[self._name_to_id[name]] = label
         arr.setflags(write=False)
         out = copy.copy(self)
         out._labels = arr
+        return out
+
+    def with_vertices(self, names: Sequence[str], edges: np.ndarray,
+                      labels: np.ndarray | None = None) -> "Graph":
+        """This graph with `names` appended as vertices carrying `labels` and
+        the id rows `edges` added: equal to the graph built from the whole
+        lists, with the drop counts of the added rows, but built from this
+        one's name index, sorted rows and degrees."""
+        out = copy.copy(self)
+        out._add(names, edges, labels)
         return out
 
     # -- equality (semantic, name-based) ------------------------------------

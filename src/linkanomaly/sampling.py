@@ -35,6 +35,10 @@ ATTEMPT_FACTOR = 100
 # vertices whose first m target draws `generate_ba` makes in one call
 _BA_BLOCK = 256
 
+# 32-bit words that one block of `inject_anomalies` draws at most, unless
+# one fake vertex takes more
+_INJECT_WORDS = 1 << 16
+
 
 @dataclass(frozen=True)
 class TestSet:
@@ -119,7 +123,7 @@ def generate_ba(n: int, m: int, seed) -> Graph:
 def _fresh_names(g: Graph, count: int) -> list[str]:
     width = len(str(max(count - 1, 1)))
     fresh = map(f"fake%0{width}d".__mod__, itertools.count())
-    return list(itertools.islice(itertools.filterfalse(set(g.names).__contains__, fresh), count))
+    return list(itertools.islice(itertools.filterfalse(g.has_name, fresh), count))
 
 
 def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
@@ -144,26 +148,173 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
         raise ExhaustionError(
             f"no host vertex has {'an outbound' if g.directed else 'an'} edge, so no "
             f"nonzero edge count can be drawn for an injected vertex")
-    rng = generator(seed)
-
-    edge_counts = []
-    target_arrays = []
-    for _ in range(n):
-        k = 0
-        while k == 0:
-            k = int(host_degrees[int(rng.integers(host_n))])
-        edge_counts.append(k)
-        target_arrays.append(rng.choice(host_n, size=k, replace=False))
-
-    names = g.names + _fresh_names(g, n)
-    labels = np.concatenate([g.labels, np.full(n, ANOMALOUS, np.int8)])
+    edge_counts, targets = _injection_draws(generator(seed), host_degrees, n)
 
     sources = np.repeat(np.arange(host_n, host_n + n, dtype=np.int64), edge_counts)
-    targets = np.concatenate(target_arrays)
-    edges = np.concatenate([g.edges, np.column_stack([sources, targets])])
-    out = Graph(names, edges, g.directed, labels=labels)
-    record = InjectionRecord(tuple(range(host_n, host_n + n)), tuple(edge_counts), targets)
+    out = g.with_vertices(_fresh_names(g, n), np.column_stack([sources, targets]),
+                          np.full(n, ANOMALOUS, dtype=np.int8))
+    record = InjectionRecord(tuple(range(host_n, host_n + n)), tuple(edge_counts.tolist()), targets)
     return out, record
+
+
+def _injection_draws(rng, degrees: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(edge counts, targets) of `n` fake vertices, drawn as the loop
+
+        k = 0
+        while k == 0:
+            k = degrees[rng.integers(host_n)]
+        targets = rng.choice(host_n, size=k, replace=False)
+
+    draws them, and leaving `rng` where that loop leaves it.  Every draw of
+    the loop is bounded by Lemire's method, which takes one 32-bit word
+    unless it rejects one (at most once in 2**32 / host_n draws).  So one
+    speculative `integers(host_n)` call per block shows where each step of
+    the loop starts, a zero degree being a step of its own, and its value
+    there is that step's first draw.  The block is then drawn exactly, with
+    one array-bound call, and kept up to the first step whose exact first
+    draw gives another degree than the guessed one.
+    """
+    host_n = len(degrees)
+    # draws a step takes, by the degree its first draw gives
+    cost = np.where(degrees == 0, 1, np.where(_choice_tail(degrees, host_n), degrees + 1, 2 * degrees))
+    nonzero = np.count_nonzero(degrees)
+    per_vertex = (host_n - nonzero) / nonzero + cost[degrees > 0].mean()
+    counts, chunks = [], []
+    left = n
+    while left:
+        words = max(min(int(left * per_vertex * 1.05) + 64, _INJECT_WORDS), int(cost.max()))
+        state = rng.bit_generator.state
+        first = rng.integers(host_n, size=words)
+        # each step starts where the one before it ends
+        steps = cost[first].tolist()
+        starts, p = [], 0
+        while p < words and p + steps[p] <= words:
+            starts.append(p)
+            p += steps[p]
+        starts = np.array(starts, dtype=np.int64)
+        ks = degrees[first[starts]]
+        # through the step that finds the last vertex still to draw
+        end = int(np.searchsorted(np.cumsum(ks > 0), left)) + 1
+        starts, ks = starts[:end], ks[:end]
+        highs = _step_highs(ks, cost[first[starts]], host_n)
+
+        rng.bit_generator.state = state
+        draws = rng.integers(0, highs)
+        wrong = degrees[draws[starts]] != ks
+        if wrong.any():
+            # a rejected word moved the steps from here on: keep those before
+            # it, and put the stream where their draws leave it
+            end = int(wrong.argmax())
+            rng.bit_generator.state = state
+            rng.integers(0, highs[:starts[end]])
+            starts, ks = starts[:end], ks[:end]
+        keep = ks > 0
+        counts.append(ks[keep])
+        chunks.append(_choice_targets(draws, starts[keep] + 1, ks[keep], host_n))
+        left -= len(counts[-1])
+    return np.concatenate(counts), np.concatenate(chunks)
+
+
+def _choice_tail(k, host_n: int):
+    """Whether `Generator.choice(host_n, size=k, replace=False)` shuffles the
+    tail of a whole `arange(host_n)` instead of running Floyd's algorithm."""
+    return (k > host_n // 50) & (host_n > 10_000)
+
+
+def _step_highs(ks: np.ndarray, cost: np.ndarray, host_n: int) -> np.ndarray:
+    """The exclusive bound of every draw of the steps that give edge counts
+    `ks` (0 for a redrawn zero) and take `cost` draws each, in stream order.
+
+    A step draws its edge count below host_n, then `choice`'s draws: below
+    j + 1 for Floyd's j = host_n - k .. host_n - 1 and i + 1 for the shuffle's
+    i = k - 1 .. 1, or, on the tail branch, below host_n .. host_n - k + 1.
+    """
+    r = np.arange(cost.sum()) - np.repeat(np.cumsum(cost) - cost, cost)
+    k = np.repeat(ks, cost)
+    return np.where(r == 0, host_n,
+                    np.where(np.repeat(_choice_tail(ks, host_n), cost), host_n + 1 - r,
+                             np.where(r <= k, host_n - k + r, 2 * k + 1 - r)))
+
+
+def _choice_targets(draws: np.ndarray, at: np.ndarray, ks: np.ndarray, host_n: int) -> np.ndarray:
+    """The samples of the `choice(host_n, size=k, replace=False)` calls whose
+    draws start at `at` in `draws`, one per k in `ks`, concatenated.
+
+    Floyd's algorithm picks the draw below j + 1 unless an earlier pick holds
+    it, and then j, so a row whose draws do not repeat picks them all, and
+    the shuffle after it is resolved by `_swap_sources`.  A row with a
+    repeat, and a row on the tail branch, is run step by step.
+    """
+    out = np.empty(ks.sum(), dtype=np.int64)
+    tail = _choice_tail(ks, host_n)
+    k = ks[~tail]
+    row = np.repeat(np.cumsum(k) - k, k)  # each position's row start
+    t = np.arange(len(row)) - row
+    base, k = np.repeat(at[~tail], k), np.repeat(k, k)
+    picks = draws[base + t]
+    # position t >= 1 swaps with the draw below t + 1 at base + 2k - 1 - t,
+    # position 0 with itself
+    swaps = row + draws[base + 2 * k - 1 - t - (t == 0)]
+    swaps[t == 0] = row[t == 0]
+    out[np.repeat(~tail, ks)] = picks[_swap_sources(swaps)]
+
+    rows = np.repeat(np.arange(np.count_nonzero(~tail)), ks[~tail])
+    key = np.sort(rows * host_n + picks)
+    repeats = np.flatnonzero(~tail)[np.unique(key[1:][key[1:] == key[:-1]] // host_n)]
+    starts = np.cumsum(ks) - ks
+    for r in np.flatnonzero(tail).tolist() + repeats.tolist():
+        out[starts[r]:starts[r] + ks[r]] = _choice_steps(draws, int(at[r]), int(ks[r]), host_n)
+    return out
+
+
+def _choice_steps(draws: np.ndarray, at: int, k: int, host_n: int) -> list[int]:
+    """One `choice(host_n, size=k, replace=False)` call run step by step on
+    its draws at `at` in `draws`."""
+    if _choice_tail(k, host_n):
+        # swap position i of arange(host_n) with the draw below i + 1, for
+        # i = host_n - 1 .. host_n - k, and take the last k positions
+        moved = {}
+        picks = []
+        for i, j in zip(range(host_n - 1, host_n - k - 1, -1), draws[at:at + k].tolist()):
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return picks[::-1]
+    taken, picks = set(), []
+    for j, x in enumerate(draws[at:at + k].tolist(), host_n - k):
+        x = j if x in taken else x
+        taken.add(x)
+        picks.append(x)
+    for i, j in zip(range(k - 1, 0, -1), draws[at + k:at + 2 * k - 1].tolist()):
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
+def _swap_sources(swaps: np.ndarray) -> np.ndarray:
+    """Where each entry ends in swap passes over positions 0 .. len(swaps) - 1,
+    in which the step of each position x, from the largest x of a pass down,
+    swaps x with swaps[x] <= x and leaves x final: the position whose first
+    entry ends at x.
+
+    x ends holding what was last written to swaps[x] before x's step: by
+    the smallest y > x with the same swap position, or, if no y, the first
+    entry there.  What y writes is what was last written to y itself before
+    y's step, by the smallest z > y that swaps with y, and so on: a chain of
+    writes back to a position that none wrote to, followed by pointer
+    doubling.
+    """
+    order = np.argsort(swaps, kind="stable")
+    swapped = swaps[order]
+    same = swapped[1:] == swapped[:-1]
+    after = np.full(len(swaps), -1)  # the smallest y > x that swaps with swaps[x]
+    after[order[:-1][same]] = order[1:][same]
+    # the smallest y that swaps with p heads p's group; when that is p's own
+    # step, swapping with itself, no chain reaches p
+    head = np.flatnonzero(np.diff(swapped, prepend=-1))
+    root = np.arange(len(swaps))
+    root[swapped[head]] = order[head]
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    return np.where(after >= 0, root[after], swaps)
 
 
 def _first_accepted(rng, high: int, width: int, need: int, accept) -> np.ndarray:

@@ -267,18 +267,12 @@ def inject_loop(g, n, rng):
     and wires each fake vertex one edge at a time.
     """
     host_n = g.vertex_count
-    host_degrees = g.degrees("out" if g.directed else "all")
-    new_edges, edge_counts, target_lists = [], [], []
-    for i in range(n):
-        vid = host_n + i
-        k = 0
-        while k == 0:
-            k = int(host_degrees[int(rng.integers(host_n))])
-        targets = rng.choice(host_n, size=k, replace=False)
-        edge_counts.append(k)
-        target_lists.append(tuple(int(t) for t in targets))
+    edge_counts, target_lists = injection_draws_loop(
+        g.degrees("out" if g.directed else "all"), n, rng)
+    new_edges = []
+    for i, targets in enumerate(target_lists):
         for t in targets:
-            e = (vid, int(t))
+            e = (host_n + i, t)
             new_edges.append(e if g.directed else (min(e), max(e)))
 
     taken = set(g.names)
@@ -293,6 +287,21 @@ def inject_loop(g, n, rng):
     edges = sorted({(int(a), int(b)) for a, b in g.edges} | set(new_edges))
     return (g.names + fresh, edges, host_labels + [1] * n,
             tuple(edge_counts), tuple(target_lists))
+
+
+def injection_draws_loop(degrees, n, rng):
+    """(edge_counts, target tuples) of `n` fake vertices, one vertex at a time:
+    redraw a uniform vertex until its degree k is nonzero, then draw k distinct
+    targets with `rng.choice`."""
+    host_n = len(degrees)
+    edge_counts, target_lists = [], []
+    for _ in range(n):
+        k = 0
+        while k == 0:
+            k = int(degrees[int(rng.integers(host_n))])
+        edge_counts.append(k)
+        target_lists.append(tuple(int(t) for t in rng.choice(host_n, size=k, replace=False)))
+    return tuple(edge_counts), tuple(target_lists)
 
 
 def edge_list_loop(path, directed):

@@ -133,6 +133,59 @@ def test_with_labels_keeps_drop_counts_and_shares_edges_and_views(directed):
         assert all(a is b for a, b in zip(labeled._view(mode), g._view(mode)))
 
 
+def test_with_labels_names_the_labelled_names_that_are_not_vertices():
+    g = build_graph([("a", "b"), ("b", "c")], directed=False)
+    with pytest.raises(UnknownVertexError, match=r"^2 labelled name\(s\) are not vertices "
+                                                 r"of the graph, the first 'x'$"):
+        g.with_labels({"b": 1, "x": 1, "a": 0, "y": 0})
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_with_vertices_equals_the_graph_built_whole(directed):
+    rng = np.random.default_rng(5 + directed)
+    for _ in range(40):
+        n0, n1 = int(rng.integers(1, 10)), int(rng.integers(0, 6))
+        host_rows = rng.integers(0, n0, (int(rng.integers(0, 3 * n0)), 2))
+        names = [f"h{i}" for i in range(n0)]
+        host = Graph(names, host_rows, directed, labels=rng.integers(0, 2, n0))
+        # self-loops, repeats, reversals and rows the host has already
+        rows = rng.integers(0, n0 + n1, (int(rng.integers(0, 4 * (n0 + n1))), 2))
+        rows = np.concatenate([rows, rows[:3], rows[:2, ::-1], host.edges[:2]])
+        labels = rng.integers(0, 2, n1)
+        new_names = [f"n{i}" for i in range(n1)]
+        grown = host.with_vertices(new_names, rows, labels)
+        whole = Graph(names + new_names, np.concatenate([host.edges, rows]), directed,
+                      labels=np.concatenate([host.labels, labels]))
+        assert grown.names == whole.names and grown.directed == directed
+        assert [grown.id_of(name) for name in whole.names] == list(range(whole.vertex_count))
+        assert grown.edges.tobytes() == whole.edges.tobytes()
+        assert grown.labels.tobytes() == whole.labels.tobytes()
+        assert (grown.dropped_self_loops, grown.dropped_duplicates) == \
+            (whole.dropped_self_loops, whole.dropped_duplicates)
+        for mode in ("all", "in", "out"):
+            assert grown.degrees(mode).tobytes() == whole.degrees(mode).tobytes()
+            for a, b in zip(grown._view(mode), whole._view(mode)):
+                assert a.tobytes() == b.tobytes()
+        assert not grown.edges.flags.writeable and not grown.labels.flags.writeable
+        assert not grown.degrees("out").flags.writeable
+        # the host is as it was, views included
+        assert host.names == names and host.vertex_count == n0
+        assert not any(host.has_name(name) for name in new_names)
+        assert host._views is not grown._views
+
+
+def test_with_vertices_rejects_names_that_are_taken():
+    g = build_graph([("a", "b"), ("b", "c")], directed=False)
+    for names in (["d", "d"], ["d", "a"]):
+        with pytest.raises(ParameterError, match="not unique"):
+            g.with_vertices(names, np.empty((0, 2), dtype=np.int64))
+    with pytest.raises(ParameterError, match="one entry per vertex"):
+        g.with_vertices(["d"], [[3, 0]], labels=[1, 1])
+    with pytest.raises(ParameterError, match=r"\[0, 4\)"):
+        g.with_vertices(["d"], [[4, 0]])
+    assert g.has_name("a") and not g.has_name("d") and g.vertex_count == 3
+
+
 @pytest.mark.parametrize("host_from", ["generate_ba", "load_edge_list"])
 def test_a_replaced_host_builds_no_views(tmp_path, monkeypatch, host_from):
     builds = []

@@ -21,7 +21,8 @@ from linkanomaly import build_graph, forest, generate_ba, io as edge_io, samplin
 from linkanomaly.anomaly import META_FEATURE_NAMES, RANK_ORDERS, VertexAnomalyProfile
 from linkanomaly.cli import main
 from linkanomaly.config import ExperimentConfig, load_config, parse_config_text
-from linkanomaly.errors import LinkAnomalyError, ParameterError, ParseError, ShapeError
+from linkanomaly.errors import (LinkAnomalyError, ParameterError, ParseError, ShapeError,
+                               UnknownVertexError)
 from linkanomaly.evaluation import injection_count
 from linkanomaly.graph import Graph
 from linkanomaly.io import (load_edge_list, load_labels, load_profiles_csv, write_edge_list,
@@ -236,7 +237,12 @@ def test_load_labels_on_any_small_text_fails_by_name_or_gives_0_1_labels(tmp_pat
         labels = load_labels(path)
     except ParseError:
         return
-    g = build_graph([("a", "b"), ("b", "zz")], directed=False).with_labels(labels)
+    host = build_graph([("a", "b"), ("b", "zz")], directed=False)
+    if set(labels) - {"a", "b", "zz"}:
+        with pytest.raises(UnknownVertexError, match="not vertices of the graph"):
+            host.with_labels(labels)
+        return
+    g = host.with_labels(labels)
     assert g.labels.dtype == np.int8 and g.labels.shape == (3,)
     assert set(g.labels.tolist()) <= {0, 1}
 
@@ -940,17 +946,36 @@ def test_cli_evaluate_unusable_input_is_a_usage_error(tmp_path, case, capsys):
 
 
 def test_cli_evaluate_names_a_label_that_no_vertex_has(tmp_path, score_inputs, capsys):
-    # a labels file naming no host vertex leaves every vertex normal; the
-    # anomalous draw used to spend its whole budget and blame the constraints
+    # a labels file that labels no host vertex anomalous leaves every vertex
+    # normal; the anomalous draw used to spend its whole budget and blame
+    # the constraints
     graph, _, _ = score_inputs
     labels, config = tmp_path / "labels.csv", tmp_path / "exp.cfg"
-    write_labels(labels, {"not-a-host-vertex": 1})
+    write_labels(labels, {load_edge_list(graph, directed=False).names[0]: 0})
     config.write_text(f"graph_path = {graph}\nanomaly_source = provided\n"
                       f"labels_path = {labels}\n")
     assert main(["-q", "evaluate", "--config", str(config), "--report-out",
                  str(tmp_path / "r.json"), "--pk-out", str(tmp_path / "pk.csv")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "sample-test-set" in err and "no vertex has label 1" in err
+
+
+def test_cli_evaluate_names_labelled_vertices_that_are_not_in_the_graph(tmp_path, score_inputs,
+                                                                       capsys):
+    # such rows used to be skipped, so misspelt names ran with fewer
+    # anomalous vertices than the file lists
+    graph, _, _ = score_inputs
+    labels, config = tmp_path / "labels.csv", tmp_path / "exp.cfg"
+    host = load_edge_list(graph, directed=False).names
+    write_labels(labels, {host[0]: 1, "not-a-host-vertex": 1, host[1]: 1, "nor-this": 0})
+    config.write_text(f"graph_path = {graph}\nanomaly_source = provided\n"
+                      f"labels_path = {labels}\n")
+    assert main(["-q", "evaluate", "--config", str(config), "--report-out",
+                 str(tmp_path / "r.json"), "--pk-out", str(tmp_path / "pk.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("data error: stage 'prepare-graph': 2 labelled name(s) are not vertices "
+                   "of the graph, the first 'not-a-host-vertex'\n")
+    assert not (tmp_path / "r.json").exists()
 
 
 # the permission case (PermissionError) takes the same path; it cannot be set

@@ -11,9 +11,10 @@ from linkanomaly import (ANOMALOUS, NORMAL, build_graph, build_link_training_set
 from linkanomaly.errors import ExhaustionError, ParameterError
 from linkanomaly.graph import Graph
 from linkanomaly.rng import generator
-from linkanomaly.sampling import sample_training_pairs
+from linkanomaly.sampling import _injection_draws, sample_training_pairs
 
-from _oracles import ba_loop, inject_loop, inspected_vertices_loop, training_pairs_loop
+from _oracles import (ba_loop, inject_loop, injection_draws_loop, inspected_vertices_loop,
+                      training_pairs_loop)
 
 
 def complete_graph(n):
@@ -190,12 +191,30 @@ def _hosts_with_isolated_vertices():
     yield Graph(directed.names + ["iso0", "iso1", "iso2"], directed.edges, directed=True)
 
 
-@pytest.mark.parametrize("host", list(_hosts_with_isolated_vertices()),
-                         ids=["undirected", "directed"])
-def test_inject_equals_per_edge_loop(host):
-    for n, seed in [(1, 0), (25, 1), (host.vertex_count, 2)]:
+def _injection_cases():
+    """(host, [(injected count, seed), ...]); every host has zero degrees."""
+    for host in _hosts_with_isolated_vertices():
+        yield host, [(1, 0), (25, 1), (host.vertex_count, 2)]
+    # over 10,000 vertices, choice(host_n, k, replace=False) shuffles the tail
+    # of a whole arange for k > host_n // 50 = 201: 30 hubs of degree 300 draw
+    # it, 30 isolated vertices draw zeros, and at seed 113 a 32-bit word is
+    # rejected by Lemire's bound mid-block, so the block is cut and redrawn
+    ba = generate_ba(10_000, 2, seed=3)
+    hubs = [(10_000 + h, t) for h in range(30)
+            for t in np.random.default_rng(h).choice(10_000, 300, replace=False).tolist()]
+    names = ba.names + [f"hub{h:02d}" for h in range(30)] + [f"iso{h:02d}" for h in range(30)]
+    yield Graph(names, np.concatenate([ba.edges, hubs]), directed=False), [(1, 0), (1500, 113)]
+
+
+@pytest.mark.parametrize("host, cases", list(_injection_cases()),
+                         ids=["undirected", "directed", "undirected-over-10k"])
+def test_inject_equals_per_edge_loop(host, cases):
+    degrees = host.degrees("out")
+    assert not degrees.all()
+    for n, seed in cases:
         out, record = inject_anomalies(host, n, seed)
-        names, edges, labels, edge_counts, targets = inject_loop(host, n, generator(seed))
+        loop_rng = generator(seed)
+        names, edges, labels, edge_counts, targets = inject_loop(host, n, loop_rng)
         assert out.names == names
         assert out.edges.tobytes() == np.array(edges, dtype=np.int64).tobytes()
         assert out.labels.tolist() == labels
@@ -204,6 +223,32 @@ def test_inject_equals_per_edge_loop(host):
         assert record.edge_counts == edge_counts
         assert record.targets.dtype == np.int64
         assert record.targets.tolist() == [t for ts in targets for t in ts]
+        # the draw helper leaves its Generator where the loop leaves its own
+        draw_rng = generator(seed)
+        _injection_draws(draw_rng, degrees, n)
+        assert draw_rng.bit_generator.state == loop_rng.bit_generator.state
+        if host.vertex_count > 10_000 and n > 1:
+            assert max(edge_counts) > host.vertex_count // 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_injection_draws_equal_the_loop_at_random_degrees(data):
+    # any degree array below host_n: hosts over 10,000 with degrees over
+    # host_n // 50 take choice's tail branch, and degrees near a small
+    # host_n make most of Floyd's rows repeat a draw
+    host_n = data.draw(st.sampled_from([2, 3, 40, 500, 9_999, 10_001, 12_000]), label="host_n")
+    top = data.draw(st.integers(1, min(host_n - 1, 400)), label="largest degree")
+    key = data.draw(st.integers(0, 2**32 - 1), label="key")
+    degrees = np.random.default_rng(key).integers(0, top + 1, host_n)
+    degrees[data.draw(st.integers(0, host_n - 1), label="a nonzero degree")] = top
+    n = data.draw(st.integers(1, min(host_n, 200)), label="n")
+    draw_rng, loop_rng = generator(key), generator(key)
+    edge_counts, targets = _injection_draws(draw_rng, degrees, n)
+    loop_counts, loop_targets = injection_draws_loop(degrees, n, loop_rng)
+    assert tuple(edge_counts.tolist()) == loop_counts
+    assert targets.tolist() == [t for ts in loop_targets for t in ts]
+    assert draw_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("directed", [False, True])
