@@ -305,6 +305,10 @@ def _load_tree(doc, n_features: int, where: str) -> _Tree:
     every leaf must hold examples, so its vote fraction is defined.
     """
     try:
+        for name, dtype in _NODE_ARRAYS:
+            # the typed build truncates 0.9 and casts True; read alone, they are not integers
+            if dtype is not np.float64 and not np.issubdtype(np.array(doc[name]).dtype, np.integer):
+                raise ShapeError(f"{where}: node array {name!r} must hold integers")
         arrays = {name: np.array(doc[name], dtype=dtype) for name, dtype in _NODE_ARRAYS}
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ShapeError(f"{where}: bad node arrays ({e!r})") from None

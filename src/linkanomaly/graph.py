@@ -46,12 +46,14 @@ class _View(NamedTuple):
         return cls(keys, indptr, indices)
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an int64 array, ascending; sorts `keys` in place."""
-    keys.sort()
-    if len(keys):
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending int64 arrays `a` and `b`, ascending;
+    a stable sort (timsort) merges the two runs in linear time, and a graph
+    built whole, with `a` empty, skips the copy and the merge."""
+    if len(a):
+        b = np.concatenate([a, b])
+        b.sort(kind="stable")
+    return b[np.concatenate(([True], b[1:] != b[:-1]))] if len(b) else b
 
 
 def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
@@ -59,21 +61,6 @@ def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
     rows = np.empty((len(keys), 2), dtype=np.int64)
     np.divmod(keys, n, out=(rows[:, 0], rows[:, 1]))
     return rows
-
-
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the ascending union of the ascending int64 arrays `a` and `b`, each
-    value once, the values of `b` that `a` lacks), where `a` has no repeats."""
-    at = np.searchsorted(a, b)
-    fresh = at == len(a)
-    fresh[~fresh] = a[at[~fresh]] != b[~fresh]
-    b, at = b[fresh], at[fresh] + np.arange(np.count_nonzero(fresh))
-    out = np.empty(len(a) + len(b), dtype=np.int64)
-    out[at] = b
-    held = np.ones(len(out), dtype=bool)
-    held[at] = False
-    out[held] = a
-    return out, b
 
 
 def _member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -101,7 +88,6 @@ class Graph:
         self._names: list[str] = []
         self._name_to_id: dict[str, int] = {}
         self._edges = np.empty((0, 2), dtype=np.int64)
-        self._degrees = dict.fromkeys(DIRECTION_MODES, np.empty(0, dtype=np.int64))
         self._labels = np.empty(0, dtype=np.int8)
         self._add(names, edges, labels)
 
@@ -136,22 +122,21 @@ class Graph:
         self.dropped_self_loops = len(edges) - len(keys)
         # canonical order: sorted by (u, v), each row once; the held rows keep
         # their order under the new n, so the new keys merge into them
-        new = out = _sorted_unique(keys)
-        if len(self._edges):
-            out, new = _merge_sorted(self._edges[:, 0] * n + self._edges[:, 1], new)
-        self.dropped_duplicates = len(keys) - len(new)
-        del keys
+        keys.sort()
+        held = self._edges[:, 0] * n + self._edges[:, 1]
+        out = _union(held, keys)
+        self.dropped_duplicates = len(held) + len(keys) - len(out)
+        del keys, held
         self._edges = _key_rows(out, n)
-        added = self._edges if new is out else _key_rows(new, n)
         # filled by _view; a copy from with_labels shares the dict, so one build serves both
         self._views: dict[str, _View] = {}
 
-        # the degrees that the edge rows give without a view: the held ones
-        # plus the new rows' counts (bincount copies a read-only input)
-        ends = {"out": added[:, 0], "in": added[:, 1]} if self.directed else {"all": added.ravel()}
+        # the degrees that the edge rows give without a view, counted while
+        # the rows are writable (bincount copies a read-only input)
+        ends = ({"out": self._edges[:, 0], "in": self._edges[:, 1]} if self.directed
+                else {"all": self._edges.ravel()})
         degrees = {mode: np.bincount(ids, minlength=n) for mode, ids in ends.items()}
-        for mode, d in degrees.items():
-            d[:n0] += self._degrees[mode]
+        for d in degrees.values():
             d.setflags(write=False)
         if not self.directed:
             degrees = dict.fromkeys(DIRECTION_MODES, degrees["all"])
@@ -212,12 +197,13 @@ class Graph:
     def _build_views(self) -> dict[str, _View]:
         n = len(self._names)
         u, v = self._edges[:, 0], self._edges[:, 1]
-        out = u * n + v  # ascending, as the rows are
+        out, into = u * n + v, np.sort(v * n + u)  # out is ascending, as the rows are
         if not self.directed:
-            return dict.fromkeys(DIRECTION_MODES, _View.of(np.sort(np.concatenate([out, v * n + u])), n))
-        into = np.sort(v * n + u)
-        return {"out": _View.of(out, n), "in": _View.of(into, n),
-                "all": _View.of(_sorted_unique(np.concatenate([out, into])), n)}
+            # the two halves are disjoint, so merging them drops no key
+            keys = np.concatenate([out, into])
+            keys.sort(kind="stable")
+            return dict.fromkeys(DIRECTION_MODES, _View.of(keys, n))
+        return {"out": _View.of(out, n), "in": _View.of(into, n), "all": _View.of(_union(out, into), n)}
 
     def _vertex_ids(self, vertices) -> np.ndarray:
         """`vertices` as an int64 array, raising for the first id out of range."""

@@ -39,6 +39,10 @@ _BA_BLOCK = 256
 # one fake vertex takes more
 _INJECT_WORDS = 1 << 16
 
+# picks above which a `choice` call's shuffle runs step by step: the batched
+# shuffle takes one round per position of its longest row
+_SHUFFLE_ROWS = 64
+
 
 @dataclass(frozen=True)
 class TestSet:
@@ -241,28 +245,28 @@ def _choice_targets(draws: np.ndarray, at: np.ndarray, ks: np.ndarray, host_n: i
     draws start at `at` in `draws`, one per k in `ks`, concatenated.
 
     Floyd's algorithm picks the draw below j + 1 unless an earlier pick holds
-    it, and then j, so a row whose draws do not repeat picks them all, and
-    the shuffle after it is resolved by `_swap_sources`.  A row with a
-    repeat, and a row on the tail branch, is run step by step.
+    it, and then j, so a row whose draws do not repeat picks them all.  The
+    Fisher-Yates shuffle after it swaps position i with the draw below i + 1,
+    for i = k - 1 .. 1; with the rows ordered by k, descending, the rows with
+    k > i are a prefix, so one swap per i serves every row.  A row with a
+    repeat, a row on the tail branch and a row of more than `_SHUFFLE_ROWS`
+    picks are run step by step.
     """
-    out = np.empty(ks.sum(), dtype=np.int64)
-    tail = _choice_tail(ks, host_n)
-    k = ks[~tail]
-    row = np.repeat(np.cumsum(k) - k, k)  # each position's row start
-    t = np.arange(len(row)) - row
-    base, k = np.repeat(at[~tail], k), np.repeat(k, k)
-    picks = draws[base + t]
-    # position t >= 1 swaps with the draw below t + 1 at base + 2k - 1 - t,
-    # position 0 with itself
-    swaps = row + draws[base + 2 * k - 1 - t - (t == 0)]
-    swaps[t == 0] = row[t == 0]
-    out[np.repeat(~tail, ks)] = picks[_swap_sources(swaps)]
-
-    rows = np.repeat(np.arange(np.count_nonzero(~tail)), ks[~tail])
-    key = np.sort(rows * host_n + picks)
-    repeats = np.flatnonzero(~tail)[np.unique(key[1:][key[1:] == key[:-1]] // host_n)]
     starts = np.cumsum(ks) - ks
-    for r in np.flatnonzero(tail).tolist() + repeats.tolist():
+    out = draws[np.repeat(at - starts, ks) + np.arange(ks.sum())]
+    key = np.sort(np.repeat(np.arange(len(ks)), ks) * host_n + out)
+    slow = _choice_tail(ks, host_n) | (ks > _SHUFFLE_ROWS)
+    slow[key[1:][key[1:] == key[:-1]] // host_n] = True
+
+    fast = np.flatnonzero(~slow)
+    fast = fast[np.argsort(-ks[fast], kind="stable")]
+    row, swap = starts[fast], at[fast] + 2 * ks[fast] - 1  # draw i is at swap - i
+    prefix = np.searchsorted(-ks[fast], -np.arange(ks[fast[0]] if len(fast) else 0))
+    for i in range(len(prefix) - 1, 0, -1):
+        a = row[:prefix[i]] + i
+        b = row[:prefix[i]] + draws[swap[:prefix[i]] - i]
+        out[a], out[b] = out[b], out[a]
+    for r in np.flatnonzero(slow).tolist():
         out[starts[r]:starts[r] + ks[r]] = _choice_steps(draws, int(at[r]), int(ks[r]), host_n)
     return out
 
@@ -287,34 +291,6 @@ def _choice_steps(draws: np.ndarray, at: int, k: int, host_n: int) -> list[int]:
     for i, j in zip(range(k - 1, 0, -1), draws[at + k:at + 2 * k - 1].tolist()):
         picks[i], picks[j] = picks[j], picks[i]
     return picks
-
-
-def _swap_sources(swaps: np.ndarray) -> np.ndarray:
-    """Where each entry ends in swap passes over positions 0 .. len(swaps) - 1,
-    in which the step of each position x, from the largest x of a pass down,
-    swaps x with swaps[x] <= x and leaves x final: the position whose first
-    entry ends at x.
-
-    x ends holding what was last written to swaps[x] before x's step: by
-    the smallest y > x with the same swap position, or, if no y, the first
-    entry there.  What y writes is what was last written to y itself before
-    y's step, by the smallest z > y that swaps with y, and so on: a chain of
-    writes back to a position that none wrote to, followed by pointer
-    doubling.
-    """
-    order = np.argsort(swaps, kind="stable")
-    swapped = swaps[order]
-    same = swapped[1:] == swapped[:-1]
-    after = np.full(len(swaps), -1)  # the smallest y > x that swaps with swaps[x]
-    after[order[:-1][same]] = order[1:][same]
-    # the smallest y that swaps with p heads p's group; when that is p's own
-    # step, swapping with itself, no chain reaches p
-    head = np.flatnonzero(np.diff(swapped, prepend=-1))
-    root = np.arange(len(swaps))
-    root[swapped[head]] = order[head]
-    while not np.array_equal(root[root], root):
-        root = root[root]
-    return np.where(after >= 0, root[after], swaps)
 
 
 def _first_accepted(rng, high: int, width: int, need: int, accept) -> np.ndarray:

@@ -447,6 +447,13 @@ DAMAGE = {
     "feature_names_not_strings": lambda doc, t: doc.__setitem__(
         "feature_names", list(range(doc["n_features"]))),
     "node_array_not_numbers": lambda doc, t: t.__setitem__("threshold", ["x"] * len(t["feature"])),
+    # the typed build truncated 2.5 to 2 and cast True to 1, so each file
+    # below scored like the one it was edited from
+    "node_value_float_feature": lambda doc, t: t["feature"].__setitem__(0, t["feature"][0] + 0.5),
+    "node_value_float_count": lambda doc, t: t["count0"].__setitem__(_leaf(t), 2.5),
+    "node_value_boolean_counts": lambda doc, t: t.update(count0=[True] * len(t["feature"]),
+                                                         count1=[False] * len(t["feature"])),
+    "node_value_past_int64": lambda doc, t: t["count0"].__setitem__(_leaf(t), 2**70),
     "no_trees": lambda doc, t: doc.__setitem__("trees", []),
     # a seed that is not a list of non-negative integers loaded as it was
     "seed_not_integers": lambda doc, t: doc.__setitem__("seed", ["x"]),
@@ -477,6 +484,8 @@ def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
     assert "data error" in done.stderr
     if damage.startswith("feature_names"):
         assert "feature_names" in done.stderr
+    if damage.startswith("node_value"):
+        assert "must hold integers" in done.stderr
 
 
 # the json module raises RecursionError on deep nesting and ValueError on a
