@@ -17,6 +17,16 @@ Splits use Gini impurity with midpoint thresholds between sorted distinct
 values.  Like the usual reference implementations, the search keeps
 scanning features beyond `features_per_split` if the drawn subset yields
 no impurity-reducing split, and gives up (leaf) only when no feature does.
+
+Where a fit's rows repeat (on BA hosts a link row is almost a function of
+the unordered degree pair), each tree grows on the distinct (x, y) rows its
+bootstrap draws, each weighted by its draw count.  A node's counts, its
+stopping rule and each cut's left counts are weighted sums, and a cut still
+lies only between two distinct values, so every score is the same float
+expression of the same integers and every tree is the per-row engine's.
+Fits with at most `_MAX_DISTINCT_SHARE` of their rows distinct take this
+route; the others keep the per-row engine, which is faster where rows
+rarely repeat.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -43,10 +53,16 @@ _MIN_GAIN = 1e-12
 # and piping the trees back cost a few ms, as much as such a fit saves
 _MIN_PARALLEL_WORK = 5_000
 
-# nodes of at most this many rows search their cuts in plain Python.  On the
+# nodes of at most this many rows search their cuts in plain Python; in a
+# weighted tree (`_grow_weighted_tree`) it counts distinct rows.  On the
 # meta fits 32 and 64 time alike; 64 also serves the link fit, whose
 # min_leaf_size of 25 leaves such a node few cuts to scan
 _SMALL_NODE = 64
+
+# a fit grows its trees on its distinct rows, weighted, when they are at
+# most this share of its rows; on fits with fewer repeats (the meta CV, the
+# directed link fits) the per-row `_grow_tree` was measured faster
+_MAX_DISTINCT_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -222,9 +238,143 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, params: ForestParams,
         nodes += [-1, 0.0, -1, -1, 0, 0], [-1, 0.0, -1, -1, 0, 0]
         stack.append((lid + 1, idx[~go_left], n1 - left1, depth + 1))
         stack.append((lid, idx[go_left], left1, depth + 1))
+    return _tree_from_nodes(nodes)
 
+
+def _tree_from_nodes(nodes: list) -> _Tree:
+    """The `_Tree` of node rows in `_NODE_ARRAYS` order."""
     return _Tree(*(np.array(column, dtype=dtype)
                    for column, (_, dtype) in zip(zip(*nodes), _NODE_ARRAYS)))
+
+
+def _distinct_rows(XT: np.ndarray, y: np.ndarray):
+    """(group of each row, groups' XT, groups' labels, groups' XT as lists), or None.
+
+    A group is a run of equal (x, y) rows, which canonical order puts side
+    by side.  None where over `_MAX_DISTINCT_SHARE` of the rows are distinct.
+    """
+    first = np.ones(len(y), dtype=bool)
+    first[1:] = (XT[:, 1:] != XT[:, :-1]).any(axis=0) | (y[1:] != y[:-1])
+    if first.sum() > _MAX_DISTINCT_SHARE * len(y):
+        return None
+    GT = XT.compress(first, axis=1)
+    return first.cumsum() - 1, GT, y[first], GT.tolist()
+
+
+def _grow_weighted_tree(rows: tuple, params: ForestParams, rng: np.random.Generator) -> _Tree:
+    """`_grow_tree`'s tree, grown on the `_distinct_rows` that its bootstrap draws.
+
+    Each node holds distinct rows, each weighted by its draws; a node of at
+    most `_SMALL_NODE` of them, and its whole subtree, runs on Python lists.
+    """
+    group, GT, lab, cols = rows
+    d, n = len(GT), len(group)
+    mtry = min(params.features_per_split or int(np.ceil(np.sqrt(d))), d)
+    w = np.bincount(group.take(rng.integers(0, n, n)), minlength=GT.shape[1])
+    w1 = w * lab
+    arrays, lists = (GT, w, w1), (cols, w.tolist(), w1.tolist())
+    nodes = [[-1, 0.0, -1, -1, 0, 0]]
+    stack = [(0, w.nonzero()[0], n, int(w1.sum()), 0)]
+    while stack:
+        node, idx, n, n1, depth = stack.pop()
+        n0 = n - n1
+        nodes[node][4:] = n0, n1
+        if (n0 == 0 or n1 == 0 or n < 2 * params.min_leaf_size
+                or (params.max_depth is not None and depth >= params.max_depth)):
+            continue
+        parent_score = 1.0 - (n0 * n0 + n1 * n1) / (n * n)
+        small = len(idx) <= _SMALL_NODE
+        if small and not isinstance(idx, list):
+            idx = idx.tolist()
+        search, (columns, *weights) = ((_weighted_scan, lists) if small
+                                       else (_weighted_split, arrays))
+        best = None  # (score, feature, threshold)
+        for rank, f in enumerate(rng.permutation(d)):
+            found = search(columns[f], idx, *weights, n, n1, params.min_leaf_size, parent_score)
+            if found is not None:
+                cand = (found[0], int(f), found[1])
+                if best is None or cand < best:
+                    best, left = cand, found[2]
+            if rank + 1 >= mtry and best is not None:
+                break
+        if best is None:
+            continue
+        _, f, thr = best
+        col = columns[f]
+        if small:
+            left_idx, right_idx = [g for g in idx if col[g] <= thr], [g for g in idx if col[g] > thr]
+        else:
+            go_left = col.take(idx) <= thr
+            left_idx, right_idx = idx[go_left], idx[~go_left]
+        lid = len(nodes)
+        nodes[node][:4] = f, thr, lid, lid + 1
+        nodes += [-1, 0.0, -1, -1, 0, 0], [-1, 0.0, -1, -1, 0, 0]
+        stack.append((lid + 1, right_idx, n - left[0], n1 - left[1], depth + 1))
+        stack.append((lid, left_idx, *left, depth + 1))
+    return _tree_from_nodes(nodes)
+
+
+def _weighted_scan(col: list, idx: list, w: list, w1: list, n: int, n1: int, min_leaf: int,
+                   parent_score: float):
+    """`_weighted_split` in plain Python, on lists."""
+    bar, best = parent_score - _MIN_GAIN, None
+    left_n, j = 0.0, 0  # the weight and the positive weight below x
+    order = sorted(idx, key=col.__getitem__)
+    below = col[order[0]]
+    for g in order:
+        x = col[g]
+        if below < x and left_n >= min_leaf:  # a cut never splits tied values
+            if left_n > n - min_leaf:
+                break
+            left0 = left_n - j
+            right1 = n1 - j
+            right_n = n - left_n
+            right0 = right_n - right1
+            score = (left_n - (left0 * left0 + j * j) / left_n
+                     + right_n - (right0 * right0 + right1 * right1) / right_n) / n
+            if score < bar:
+                bar, best = score, (below, x, int(left_n), j)
+        below = x
+        left_n += w[g]
+        j += w1[g]
+    if best is None:
+        return None
+    return bar, _threshold(best[0], best[1]), best[2:]
+
+
+def _weighted_split(column: np.ndarray, idx: np.ndarray, w: np.ndarray, w1: np.ndarray, n: int,
+                    n1: int, min_leaf: int, parent_score: float):
+    """(weighted child gini, threshold, (left weight, left positive weight)) of the best cut, or None.
+
+    The cut is of the distinct rows `idx`, weighted by `w`, of which `w1`
+    is positive.  Below a cut between two distinct values lie exactly the
+    rows that `_best_split_on_feature` puts left, so the score has its bits.
+    """
+    xs = column.take(idx)
+    order = xs.argsort()  # any order of tied values gives the same sums at a cut
+    xs = xs.take(order)
+    idx = idx.take(order)
+    cum_n = w.take(idx).cumsum()
+    cum_1 = w1.take(idx).cumsum()
+    # cut after position i, leaving at least min_leaf weight on each side
+    lo, hi = cum_n.searchsorted(min_leaf), cum_n.searchsorted(n - min_leaf, "right")
+    cuts = (xs[lo:hi] < xs[lo + 1:hi + 1]).nonzero()[0] + lo
+    if len(cuts) == 0:
+        return None
+    left_n = cum_n.take(cuts).astype(np.float64)
+    left1 = cum_1.take(cuts).astype(np.float64)
+    left0 = left_n - left1
+    right1 = n1 - left1
+    right_n = n - left_n
+    right0 = right_n - right1
+    score = (left_n - (left0 * left0 + left1 * left1) / left_n
+             + right_n - (right0 * right0 + right1 * right1) / right_n) / n
+    best = int(score.argmin())  # first minimum -> lowest threshold on ties
+    if score[best] >= parent_score - _MIN_GAIN:
+        return None
+    i = cuts[best]
+    return (float(score[best]), _threshold(float(xs[i]), float(xs[i + 1])),
+            (int(cum_n[i]), int(cum_1[i])))
 
 
 class LinkForest:
@@ -287,8 +437,29 @@ class LinkForest:
         _check_names(names, n_features, str(path))
         if not isinstance(trees, list) or not trees:
             raise ShapeError(f"{path}: a forest needs at least one tree")
+        _check_params(params, len(trees), str(path))
         return cls([_load_tree(t, n_features, f"{path}: tree {i}") for i, t in enumerate(trees)],
                    params, seed, names)
+
+
+def _check_params(params: ForestParams, tree_count: int, where: str) -> None:
+    """Raise ShapeError unless `params` could have grown `tree_count` trees.
+
+    Each field holds an int, or null where its default is None, and
+    passes `validate`.
+    """
+    for field in fields(ForestParams):
+        value = getattr(params, field.name)
+        if type(value) is not int and (value is not None or field.default is not None):
+            raise ShapeError(f"{where}: params field {field.name!r} must be an integer"
+                             f"{' or null' if field.default is None else ''}, got {value!r}")
+    try:
+        params.validate()
+    except ParameterError as e:
+        raise ShapeError(f"{where}: params {e}") from None
+    if params.tree_count != tree_count:
+        raise ShapeError(f"{where}: params field 'tree_count' is {params.tree_count}, "
+                         f"but the file holds {tree_count} trees")
 
 
 def _check_names(names, n_features: int, where: str) -> None:
@@ -399,12 +570,14 @@ def _grow_trees(fits: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]],
     then raises.
     """
     count = params.tree_count
-    jobs = [(fit, t) for fit in fits for t in range(count)]
+    grouped = [_distinct_rows(XT, y) for XT, y, _ in fits]  # once per fit, before any fork
+    jobs = [(fit, rows, t) for fit, rows in zip(fits, grouped) for t in range(count)]
     workers = _worker_count(len(jobs), count * sum(len(y) for _, y, _ in fits))
 
     def grow(chunk: int) -> list[_Tree]:
-        return [_grow_tree(XT, y, params, generator(key, t))
-                for (XT, y, key), t in jobs[chunk::workers]]
+        return [_grow_tree(XT, y, params, generator(key, t)) if rows is None
+                else _grow_weighted_tree(rows, params, generator(key, t))
+                for (XT, y, key), rows, t in jobs[chunk::workers]]
 
     chunks = {}
     pipes = {}  # pid -> (chunk, read end of its pipe)

@@ -229,7 +229,8 @@ def _fit(monkeypatch, tmp_path, params, workers, fits=None):
         monkeypatch.setattr(forest, "_grow_trees", _serial_grow_trees)
     else:
         monkeypatch.setattr(forest, "_worker_count", lambda jobs, work: min(workers, jobs))
-    forests = train_forests(fits or _batch()[:1], params, _names(5))
+    fits = fits or _batch()[:1]
+    forests = train_forests(fits, params, _names(np.shape(fits[0][0])[1]))
     monkeypatch.undo()
     return [(f.trees, _saved(f, tmp_path / f"forest-{workers}-{i}.json"))
             for i, f in enumerate(forests)]
@@ -297,6 +298,97 @@ def test_grow_tree_equals_per_feature_argsort_engine(variant):
         assert ours == reference
 
 
+# -- trees grown on distinct rows, weighted -----------------------------------------
+
+
+def _repeated_fits():
+    """Fits whose rows repeat, so that they grow through `_grow_weighted_tree`."""
+    from linkanomaly import build_link_training_set, generate_ba, inject_anomalies
+
+    g = generate_ba(300, 3, (1, 0))
+    g, _ = inject_anomalies(g, 30, (1, 1))
+    examples = build_link_training_set(g, set(), 500, (1, 2))
+    rng = np.random.default_rng(27)
+    integers = np.column_stack([rng.integers(0, k, 700) for k in (2, 3, 4, 5)]).astype(float)
+    half = integers[:350, 1:]
+    zeros = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=(900, 4))
+    return {
+        # a link row is almost a function of its unordered degree pair
+        "link_features": (np.array([ex.features for ex in examples]),
+                          np.array([ex.label for ex in examples])),
+        "integer_columns": (integers, (integers[:, 0] + integers[:, 3] + rng.integers(0, 3, 700)
+                                       > 4).astype(int)),
+        # every row twice, once with each label, and some a third time
+        "rows_differing_only_in_label": (np.vstack([half, half, half[:100]]),
+                                         np.r_[np.zeros(350), np.ones(350),
+                                               rng.integers(0, 2, 100)].astype(int)),
+        "rows_differing_only_in_zero_sign": (zeros, ((zeros[:, 0] > 0) ^ (zeros[:, 1] < 0)
+                                                     ^ (rng.random(900) < 0.2)).astype(int)),
+    }
+
+
+_VARIANTS = {"default": {}, "max_depth": {"max_depth": 3}, "features_per_split": {
+    "features_per_split": 1}, "min_leaf_25": {"min_leaf_size": 25}}
+
+
+def _assert_same_trees(ours, theirs):
+    for a, b in zip(ours, theirs, strict=True):
+        for name, dtype in forest._NODE_ARRAYS:
+            x, z = getattr(a, name), getattr(b, name)
+            assert x.dtype == z.dtype == dtype and x.tobytes() == z.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("name", ["integer_columns", "link_features",
+                                  "rows_differing_only_in_label",
+                                  "rows_differing_only_in_zero_sign"])
+def test_weighted_tree_equals_per_row_engines(monkeypatch, tmp_path, name, variant):
+    X, y = _repeated_fits()[name]
+    params = ForestParams(tree_count=6, **_VARIANTS[variant])
+    XT, yb = forest._canonical(X, y, _names(X.shape[1]))
+    rows = forest._distinct_rows(XT, yb)
+    assert rows is not None
+    calls = {"_weighted_scan": 0, "_weighted_split": 0}
+    for search in calls:
+        def counted(*args, search=search, found=getattr(forest, search)):
+            calls[search] += 1
+            return found(*args)
+        monkeypatch.setattr(forest, search, counted)
+    mtry = params.features_per_split or int(np.ceil(np.sqrt(X.shape[1])))
+    ours = [forest._grow_weighted_tree(rows, params, generator((4, 5), t)) for t in range(6)]
+    monkeypatch.undo()
+    _assert_same_trees(ours, [forest._grow_tree(XT, yb, params, generator((4, 5), t))
+                              for t in range(6)])
+    sorted_X, sorted_y = XT.T.copy(), yb.astype(np.uint8)
+    for t, tree in enumerate(ours):
+        reference = grow_tree_reference(sorted_X, sorted_y, params, mtry, generator((4, 5), t))
+        assert tuple(getattr(tree, a).tolist() for a, _ in forest._NODE_ARRAYS) == reference
+    # the whole-forest bytes, serial and forked, against the per-row engine's
+    [(_, serial_bytes)] = _fit(monkeypatch, tmp_path, params, None, [(X, y, (4, 5))])
+    for workers in (1, 2, 3):
+        [(trees, data)] = _fit(monkeypatch, tmp_path, params, workers, [(X, y, (4, 5))])
+        _assert_no_children_left()
+        _assert_same_trees(trees, ours)
+        assert data == serial_bytes
+    assert calls["_weighted_scan"] > 0 and calls["_weighted_split"] > 0, calls
+
+
+@pytest.mark.parametrize("distinct, engine", [(100, "_grow_weighted_tree"),
+                                              (101, "_grow_tree")])
+def test_distinct_row_share_picks_the_engine(monkeypatch, distinct, engine):
+    # 200 rows, of which `distinct` differ: at most half distinct grows weighted
+    X = np.r_[np.arange(distinct), np.zeros(200 - distinct)].reshape(-1, 1)
+    y = (X[:, 0] % 2).astype(int)
+    grown = []
+    for name in ("_grow_tree", "_grow_weighted_tree"):
+        def record(*args, name=name, grow=getattr(forest, name)):
+            grown.append(name)
+            return grow(*args)
+        monkeypatch.setattr(forest, name, record)
+    _fit_arrays(X, y, ForestParams(tree_count=3), 1)
+    assert grown == [engine] * 3
+
+
 def _split_columns(rng, size):
     """Columns with heavy ties, signed zeros, runs of adjacent floats, and none of these."""
     adjacent = np.nextafter(1.0, 2.0) + np.arange(4) * np.spacing(1.0)  # odd mantissa first
@@ -339,6 +431,29 @@ def test_small_node_split_search_equals_numpy_path(monkeypatch, min_leaf):
                     checked += 1
                     found += results[0] is not None
     assert found > checked // 4  # most cases did split, so the scan was compared
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3, 25])
+def test_weighted_scan_equals_numpy_split(min_leaf):
+    rng = np.random.default_rng(min_leaf + 100)
+    checked = found = 0
+    for _ in range(40):
+        labels = rng.random(90) < rng.random()
+        for name, column in _split_columns(rng, 90).items():
+            idx = np.flatnonzero(rng.random(90) < 0.6)  # a node's distinct rows
+            w = rng.integers(0, 4, 90) * (rng.random(90) < 0.9)  # drawn 0 to 3 times
+            idx = idx[w[idx] > 0]
+            w1 = w * labels
+            n, n1 = int(w[idx].sum()), int(w1[idx].sum())
+            for parent_score in (1.0 - ((n - n1) ** 2 + n1 ** 2) / (n * n), 1.0):
+                scan = forest._weighted_scan(column.tolist(), idx.tolist(), w.tolist(),
+                                             w1.tolist(), n, n1, min_leaf, parent_score)
+                split = forest._weighted_split(column, idx, w, w1, n, n1, min_leaf,
+                                               parent_score)
+                assert _split_bits(scan) == _split_bits(split), name
+                checked += 1
+                found += scan is not None
+    assert found > checked // 4
 
 
 # -- predict -------------------------------------------------------------------------

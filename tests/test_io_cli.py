@@ -488,6 +488,36 @@ def test_cli_score_rejects_damaged_forest(tmp_path, score_inputs, damage):
         assert "must hold integers" in done.stderr
 
 
+# params that no fit could have written, each of which loaded and scored;
+# the forest file of `score_inputs` holds 3 trees
+BAD_PARAMS = {
+    "tree_count_zero": {"tree_count": 0},
+    "tree_count_string": {"tree_count": "x"},
+    "tree_count_boolean": {"tree_count": True},
+    "tree_count_not_the_trees_saved": {"tree_count": 4},
+    "min_leaf_size_negative": {"min_leaf_size": -3},
+    "min_leaf_size_null": {"min_leaf_size": None},
+    "features_per_split_float": {"features_per_split": 2.0},
+    "max_depth_boolean": {"max_depth": False},
+    "max_depth_negative": {"max_depth": -1},
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_PARAMS))
+def test_cli_score_rejects_bad_forest_params(tmp_path, score_inputs, damage):
+    graph, vertices, doc = score_inputs
+    doc = json.loads(json.dumps(doc))
+    doc["params"].update(BAD_PARAMS[damage])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    done = _cli_subprocess("score", "--graph", graph, "--model", model,
+                           "--vertices", vertices, "--out", tmp_path / "p.csv")
+    assert done.returncode == 2, done.stderr
+    [field] = BAD_PARAMS[damage]
+    assert "data error" in done.stderr
+    assert f"params field '{field}'" in done.stderr or f"params {field} must" in done.stderr
+
+
 # the json module raises RecursionError on deep nesting and ValueError on a
 # number of over 4,300 digits, neither of them a JSONDecodeError
 @pytest.mark.parametrize("text", ["[" * 200_000, '{"a":' * 200_000, "9" * 5000],
