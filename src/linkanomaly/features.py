@@ -181,6 +181,10 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
                            ) -> np.ndarray:
     """(n_pairs, n_features) matrix; row i is extract_edge_features(pairs[i]).
 
+    The matrix is the transpose of one C-contiguous (n_features, n_pairs)
+    buffer, the layout that :meth:`LinkForest.predict_proba_many` walks, so
+    predict reads the buffer without a copy.
+
     `pairs` is a sequence of (v, u) pairs or an (n, 2) id array.  All pairs
     are computed together from their all-view shared neighbors, found by one
     batched :meth:`Graph.adjacent` lookup of gathered neighbor ids (see
@@ -196,7 +200,7 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
         i = int(np.argmax(bad))
         _check_pair(g, int(v[i]), int(u[i]))
     if m == 0:
-        return np.empty((0, len(feature_names(g.directed))))
+        return np.empty((len(feature_names(g.directed)), 0)).T
 
     degs = g.degrees("all")
     pid, w = _shared(g, degs, v, u)
@@ -207,9 +211,8 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
     if not g.directed:
         inv_sqrt = 1.0 / np.sqrt(1.0 + degs)
         wv, wu = inv_sqrt[v], inv_sqrt[u]
-        return np.column_stack([union, inter, jaccard, pref,
-                                _adamic_adar_sums(degs, pid, w, inter),
-                                wv + wu, wv * wu])
+        return np.stack([union, inter, jaccard, pref, _adamic_adar_sums(degs, pid, w, inter),
+                         wv + wu, wv * wu]).T
 
     pv, pu = v[pid], u[pid]
     in_v, out_v = g.adjacent(pv, w, "in"), g.adjacent(pv, w, "out")
@@ -223,9 +226,9 @@ def extract_feature_matrix(g: Graph, pairs: Sequence[tuple[int, int]] | np.ndarr
     w_in = 1.0 / np.sqrt(1.0 + g.degrees("in"))
     w_out = 1.0 / np.sqrt(1.0 + g.degrees("out"))
     wiv, wov, wiu, wou = w_in[v], w_out[v], w_in[u], w_out[u]
-    return np.column_stack([
+    return np.stack([
         union, count(both_in), count(both_out), count(both_in & both_out),
         jaccard, pref, count(out_v & in_u), opposite,
         wiv + wiu, wiv + wou, wov + wiu, wov + wou,
         wiv * wiu, wiv * wou, wov * wiu, wov * wou,
-    ])
+    ]).T

@@ -258,7 +258,18 @@ def _distinct_rows(XT: np.ndarray, y: np.ndarray):
     if first.sum() > _MAX_DISTINCT_SHARE * len(y):
         return None
     GT = XT.compress(first, axis=1)
-    return first.cumsum() - 1, GT, y[first], GT.tolist()
+    return first.cumsum() - 1, GT, y[first], [_interned(col) for col in GT]
+
+
+def _interned(col: np.ndarray) -> list:
+    """`col.tolist()`, with one float object per distinct value.
+
+    Values are told apart by their bits, so -0.0 and 0.0 stay two objects.
+    Most link feature columns hold few distinct values (degrees, counts).
+    """
+    values, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    floats = values.view(np.float64).tolist()
+    return [floats[i] for i in inverse.tolist()]
 
 
 def _grow_weighted_tree(rows: tuple, params: ForestParams, rng: np.random.Generator) -> _Tree:
@@ -393,7 +404,7 @@ class LinkForest:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ShapeError(f"expected (n, {self.n_features}) feature matrix, got {X.shape}")
-        XT = np.ascontiguousarray(X.T)
+        XT = np.ascontiguousarray(X.T)  # no copy of an `extract_feature_matrix` result
         acc = np.zeros(len(X))
         for tree in self.trees:
             acc += tree.leaf_fraction(XT)

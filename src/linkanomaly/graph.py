@@ -8,10 +8,13 @@ constructor and for :meth:`Graph.with_vertices`: it drops self-loops and
 duplicates, counting both, and puts undirected rows in (min, max) form.
 Each neighbor view (all, in, out) is one ascending int64 array of edge
 keys `row * n + col`, from which its CSR row offsets and sorted int32
-neighbor ids are derived.  The views are built on first use, so a graph
-read only for its edges and degrees never builds them.  A neighbor query
-is a constant-time slice, and a batch of membership queries is one
-`np.searchsorted` over the keys (:meth:`Graph.adjacent`).
+neighbor ids are derived, and a bit table of at least 8 bits per key.  The
+views are built on first use, so a graph read only for its edges and
+degrees never builds them.  A neighbor query is a constant-time slice.  A
+batch of membership queries (:meth:`Graph.adjacent`) first tests each
+query's bit, at its Fibonacci hash, and turns away those whose bit no key
+set: most queries of the pair-feature kernel are not edges.  Only the rest
+go on to one `np.searchsorted` over the keys, so the answers stay exact.
 """
 
 from __future__ import annotations
@@ -30,20 +33,48 @@ ANOMALOUS = 1
 DIRECTION_MODES = ("out", "in", "all")
 
 
+# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): the top b bits of key * 2^64/phi
+_FIB = np.uint64(0x9E3779B97F4A7C15)
+
+# keys hashed at a time while a bit table is built, so that the hashes add
+# no temporary the size of the view
+_HASH_BLOCK = 1 << 16
+
+
+def _slot(keys: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """(byte, bit in the byte) of each non-negative int64 key's hash in a
+    little-endian packed table of 2^(64 - shift) bits."""
+    h = keys.view(np.uint64) * _FIB
+    h >>= shift
+    bit = (h & np.uint64(7)).astype(np.uint8)
+    h >>= np.uint64(3)
+    return h, bit
+
+
 class _View(NamedTuple):
-    """One neighbor view: ascending keys `row * n + col` and their CSR form."""
+    """One neighbor view: ascending keys `row * n + col`, their CSR form and a
+    bit table (packed little-endian) with the bit at each key's hash set."""
 
     keys: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
+    bits: np.ndarray
+    shift: np.uint64
 
     @classmethod
     def of(cls, keys: np.ndarray, n: int) -> "_View":
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         indices = (keys % n).astype(np.int32)
-        for a in (keys, indptr, indices):
+        # 2^size bits: the smallest power of two of at least 8 bits per key, and one byte
+        size = max(8 * len(keys) - 1, 7).bit_length()
+        shift = np.uint64(64 - size)
+        bits = np.zeros(1 << (size - 3), dtype=np.uint8)
+        for start in range(0, len(keys), _HASH_BLOCK):
+            byte, bit = _slot(keys[start:start + _HASH_BLOCK], shift)
+            np.bitwise_or.at(bits, byte, np.left_shift(np.uint8(1), bit))
+        for a in (keys, indptr, indices, bits):
             a.setflags(write=False)
-        return cls(keys, indptr, indices)
+        return cls(keys, indptr, indices, bits, shift)
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,11 +94,24 @@ def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def _member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether each query value occurs in the ascending array `keys`."""
-    pos = np.searchsorted(keys, query)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == query[found]
+def _member(view: _View, query: np.ndarray) -> np.ndarray:
+    """Whether each non-negative int64 query key occurs in `view.keys`.
+
+    A query whose bit in `view.bits` is clear is no key.  Only the others
+    (keys, and the misses whose hash some key shares) go on to the binary
+    search of the ascending keys, so a bit alone never reports an edge.
+    They are searched in ascending order, where successive searches share
+    the paths of their probes through the keys.
+    """
+    byte, bit = _slot(query, view.shift)
+    found = ((view.bits[byte] >> bit) & np.uint8(1)).astype(bool)
+    maybe = np.flatnonzero(found)
+    q = query[maybe]
+    order = q.argsort()
+    maybe, q = maybe[order], q[order]
+    # a set bit means keys is not empty, and a q past the last key fails the test
+    pos = np.minimum(np.searchsorted(view.keys, q), len(view.keys) - 1)
+    found[maybe] = view.keys[pos] == q
     return found
 
 
@@ -215,8 +259,8 @@ class Graph:
     def neighbors(self, v: int, mode: str = "all") -> np.ndarray:
         """Sorted, read-only id array of the requested neighbor set."""
         self._check_vertex(v)
-        _, indptr, indices = self._view(mode)
-        return indices[indptr[v]:indptr[v + 1]]
+        view = self._view(mode)
+        return view.indices[view.indptr[v]:view.indptr[v + 1]]
 
     def gather_neighbors(self, vertices, mode: str = "all") -> tuple[np.ndarray, np.ndarray]:
         """(counts, neighbors): the neighbor sets of `vertices`, concatenated.
@@ -225,12 +269,12 @@ class Graph:
         those of vertices[i - 1] in the second array.
         """
         vs = self._vertex_ids(vertices)
-        _, indptr, indices = self._view(mode)
-        start = indptr[vs]
-        counts = indptr[vs + 1] - start
+        view = self._view(mode)
+        start = view.indptr[vs]
+        counts = view.indptr[vs + 1] - start
         ends = np.cumsum(counts)
         pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + counts, counts)
-        return counts, indices[pos]
+        return counts, view.indices[pos]
 
     def adjacent(self, rows, cols, mode: str = "all") -> np.ndarray:
         """Boolean array: whether cols[i] is in the `mode` neighbor set of rows[i].
@@ -239,7 +283,7 @@ class Graph:
         a key of the next row.
         """
         rows, cols = self._vertex_ids(rows), self._vertex_ids(cols)
-        return _member(self._view(mode).keys, rows * len(self._names) + cols)
+        return _member(self._view(mode), rows * len(self._names) + cols)
 
     def degrees(self, mode: str = "all") -> np.ndarray:
         """Per-vertex neighbor-set sizes; read-only when the edge rows give them

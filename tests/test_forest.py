@@ -373,6 +373,18 @@ def test_weighted_tree_equals_per_row_engines(monkeypatch, tmp_path, name, varia
     assert calls["_weighted_scan"] > 0 and calls["_weighted_split"] > 0, calls
 
 
+def test_distinct_rows_hold_one_float_per_distinct_bit_pattern():
+    adjacent = np.nextafter(1.0, 2.0) + np.arange(3) * np.spacing(1.0)
+    values = np.r_[-0.0, 0.0, 5e-324, -5e-324, adjacent, 7.0]
+    XT = np.random.default_rng(8).choice(values, size=(2, 400))
+    XT = XT.take(np.lexsort(XT[::-1]), axis=1)
+    y = np.zeros(400, dtype=bool)
+    _, GT, _, cols = forest._distinct_rows(XT, y)
+    for col, lst in zip(GT, cols):
+        assert [x.hex() for x in lst] == [x.hex() for x in col.tolist()]  # -0.0 stays -0.0
+        assert len({id(x) for x in lst}) == len(np.unique(col.view(np.int64)))
+
+
 @pytest.mark.parametrize("distinct, engine", [(100, "_grow_weighted_tree"),
                                               (101, "_grow_tree")])
 def test_distinct_row_share_picks_the_engine(monkeypatch, distinct, engine):
@@ -480,6 +492,30 @@ def test_predict_equals_per_tree_walk_over_row_major_X(d, tree_count):
         got = f.predict_proba_many(layout)
         assert got.shape == (len(layout),)
         assert got.tobytes() == predict_proba_loop(f, layout).tobytes()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_predict_reads_the_feature_buffer_without_a_copy(monkeypatch, directed):
+    from linkanomaly import Graph, build_link_training_set, extract_feature_matrix, feature_names
+
+    rows = np.random.default_rng(9).integers(0, 300, (1500, 2))
+    g = Graph([f"v{i:03d}" for i in range(300)], rows, directed)
+    examples = build_link_training_set(g, set(), 200, (1, 2))
+    f = train_forest(examples, ForestParams(tree_count=3), 5,
+                     feature_names=feature_names(directed))
+    X = extract_feature_matrix(g, g.edges[:150])
+    assert X.flags.f_contiguous and X.T.flags.c_contiguous
+    walked = []
+    leaf_fraction = forest._Tree.leaf_fraction
+
+    def spy(tree, XT):
+        walked.append(XT)
+        return leaf_fraction(tree, XT)
+
+    monkeypatch.setattr(forest._Tree, "leaf_fraction", spy)
+    got = f.predict_proba_many(X)
+    assert len(walked) == 3 and all(np.shares_memory(XT, X) for XT in walked)
+    assert got.tobytes() == f.predict_proba_many(np.ascontiguousarray(X)).tobytes()
 
 
 def test_predict_loaded_forest_with_scattered_children(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from linkanomaly import build_graph, generate_ba, inject_anomalies
 from linkanomaly.errors import ParameterError, ParseError, UnknownVertexError
-from linkanomaly.graph import Graph, _View
+from linkanomaly.graph import Graph, _slot, _View
 from linkanomaly.io import load_edge_list
 
 
@@ -291,7 +291,8 @@ def test_views_match_set_reference_on_random_multigraphs(directed):
             ref = _reference(k, canon, directed)
             rows, cols = np.divmod(np.arange(k * k), k)
             for mode, sets in ref.items():
-                keys, indptr, indices = h._view(mode)
+                view = h._view(mode)
+                keys, indptr, indices = view.keys, view.indptr, view.indices
                 assert indptr.tolist() == np.cumsum([0] + [len(s) for s in sets]).tolist()
                 assert indices.tolist() == [c for s in sets for c in sorted(s)]
                 assert keys.tolist() == [r * k + c for r, s in enumerate(sets) for c in sorted(s)]
@@ -299,6 +300,54 @@ def test_views_match_set_reference_on_random_multigraphs(directed):
                 assert np.array_equal(h.degrees(mode), np.diff(indptr))
                 assert h.adjacent(rows, cols, mode).tolist() == [
                     int(c) in set(h.neighbors(int(r), mode).tolist()) for r, c in zip(rows, cols)]
+
+
+def _table_bit(view, keys):
+    byte, bit = _slot(keys, view.shift)
+    return byte * 8 + bit
+
+
+def test_adjacent_turns_away_misses_whose_bit_an_edge_set():
+    rng = np.random.default_rng(23)
+    n = 400
+    g = Graph([f"v{i:03d}" for i in range(n)], rng.integers(0, n, (3000, 2)), directed=True)
+    for mode in ("all", "in", "out"):
+        view = g._view(mode)
+        assert len(view.bits) * 8 >= 8 * len(view.keys) > len(view.bits) * 4  # the table's size
+        # every non-edge key that shares an edge's bit: only the search can turn these away
+        others = np.setdiff1d(np.arange(n * n), view.keys)
+        colliding = others[np.isin(_table_bit(view, others), _table_bit(view, view.keys))]
+        assert len(colliding) > 100
+        assert not g.adjacent(*np.divmod(colliding, n), mode).any()
+        assert g.adjacent(*np.divmod(view.keys, n), mode).all()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_adjacent_matches_a_set_of_edges(directed):
+    rng = np.random.default_rng(31 + directed)
+    for n, m in ((2, 1), (50, 100), (300, 2000), (1000, 20000)):
+        g = Graph([f"v{i:04d}" for i in range(n)], rng.integers(0, n, (m, 2)), directed)
+        out = set(map(tuple, g.edges.tolist()))
+        into = {(b, a) for a, b in out}
+        sets = ({"out": out, "in": into, "all": out | into} if directed
+                else dict.fromkeys(("out", "in", "all"), out | into))
+        # random pairs, every edge and its reverse, the largest key, (n-1) * n + (n-1),
+        # and the largest key an edge can have, (n-1) * n + (n-2)
+        rows = np.r_[rng.integers(0, n, 5000), g.edges[:, 0], g.edges[:, 1], n - 1, n - 1]
+        cols = np.r_[rng.integers(0, n, 5000), g.edges[:, 1], g.edges[:, 0], n - 1, n - 2]
+        for mode, edges in sets.items():
+            assert g.adjacent(rows, cols, mode).tolist() == [
+                (r, c) in edges for r, c in zip(rows.tolist(), cols.tolist())]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_adjacent_on_an_edgeless_graph(directed):
+    n = 30
+    g = Graph([f"v{i:02d}" for i in range(n)], np.empty((0, 2), dtype=np.int64), directed)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    for mode in ("all", "in", "out"):
+        assert len(g._view(mode).bits) == 1 and not g._view(mode).bits.any()
+        assert not g.adjacent(rows, cols, mode).any()
 
 
 def test_adjacent_rejects_ids_out_of_range():
