@@ -18,15 +18,14 @@ values.  Like the usual reference implementations, the search keeps
 scanning features beyond `features_per_split` if the drawn subset yields
 no impurity-reducing split, and gives up (leaf) only when no feature does.
 
-Where a fit's rows repeat (on BA hosts a link row is almost a function of
-the unordered degree pair), each tree grows on the distinct (x, y) rows its
-bootstrap draws, each weighted by its draw count.  A node's counts, its
-stopping rule and each cut's left counts are weighted sums, and a cut still
-lies only between two distinct values, so every score is the same float
-expression of the same integers and every tree is the per-row engine's.
-Fits with at most `_MAX_DISTINCT_SHARE` of their rows distinct take this
-route; the others keep the per-row engine, which is faster where rows
-rarely repeat.
+Every tree grows on the distinct (x, y) rows its bootstrap draws, each
+weighted by its draw count: a row drawn k times is one row of weight k.
+A node's counts, its stopping rule and each cut's left counts are weighted
+sums, and a cut still lies only between two distinct values, so every
+score is the same float expression of the same integers as on the
+bootstrap's rows one by one, and every tree is the per-row tree.  Where
+rows repeat (on BA hosts a link row is almost a function of the unordered
+degree pair) a node holds far fewer rows to sort.
 """
 
 from __future__ import annotations
@@ -53,16 +52,10 @@ _MIN_GAIN = 1e-12
 # and piping the trees back cost a few ms, as much as such a fit saves
 _MIN_PARALLEL_WORK = 5_000
 
-# nodes of at most this many rows search their cuts in plain Python; in a
-# weighted tree (`_grow_weighted_tree`) it counts distinct rows.  On the
-# meta fits 32 and 64 time alike; 64 also serves the link fit, whose
-# min_leaf_size of 25 leaves such a node few cuts to scan
+# nodes of at most this many distinct rows search their cuts in plain
+# Python.  On the meta fits 32 and 64 time alike; 64 also serves the link
+# fit, whose min_leaf_size of 25 leaves such a node few cuts to scan
 _SMALL_NODE = 64
-
-# a fit grows its trees on its distinct rows, weighted, when they are at
-# most this share of its rows; on fits with fewer repeats (the meta CV, the
-# directed link fits) the per-row `_grow_tree` was measured faster
-_MAX_DISTINCT_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -134,111 +127,10 @@ class _Tree:
         return c1 / (c0 + c1)
 
 
-def _best_split_on_feature(column: np.ndarray, idx: np.ndarray, pos: np.ndarray, n1: int,
-                           min_leaf: int, parent_score: float):
-    """(weighted child gini, threshold, left positives) of the best cut, or None.
-
-    The cut is of `column[idx]`; `pos` lists the `n1` positive rows of `idx`.
-    Nodes of up to `_SMALL_NODE` rows take a plain-Python scan, where a
-    numpy call costs more than its arithmetic; it evaluates the same float
-    expression in the same order, so both paths give the same bits.
-    """
-    n = len(idx)
-    # cut after position i, leaving at least min_leaf rows on each side
-    lo, hi = min_leaf - 1, n - min_leaf
-    if n <= _SMALL_NODE:
-        xs = sorted(column.take(idx).tolist())
-        xp = sorted(column.take(pos).tolist())
-        # counts stay ints, which a float operation converts exactly; only a
-        # score below the bar can win, and the first minimum is kept
-        bar, best, j = parent_score - _MIN_GAIN, None, 0  # j: positives <= the cut's value
-        for i in range(lo, hi):
-            x = xs[i]
-            if x < xs[i + 1]:  # a cut never splits tied values
-                while j < n1 and xp[j] <= x:
-                    j += 1
-                left_n = i + 1.0
-                left0 = left_n - j
-                right1 = n1 - j
-                right_n = n - left_n
-                right0 = right_n - right1
-                score = (left_n - (left0 * left0 + j * j) / left_n
-                         + right_n - (right0 * right0 + right1 * right1) / right_n) / n
-                if score < bar:
-                    bar, best = score, (i, j)
-        if best is None:
-            return None
-        i, j = best
-        return bar, _threshold(xs[i], xs[i + 1]), j
-    xs = column.take(idx)
-    xs.sort()
-    cuts = (xs[lo:hi] < xs[lo + 1:hi + 1]).nonzero()[0] + lo
-    if len(cuts) == 0:
-        return None
-    # positives at or below each cut's value: a cut never splits tied values
-    xp = column.take(pos)
-    xp.sort()
-    left1 = xp.searchsorted(xs[cuts], "right").astype(np.float64)
-    left_n = cuts + 1.0
-    left0 = left_n - left1
-    right1 = n1 - left1
-    right_n = n - left_n
-    right0 = right_n - right1
-    score = (left_n - (left0 * left0 + left1 * left1) / left_n
-             + right_n - (right0 * right0 + right1 * right1) / right_n) / n
-    best = int(score.argmin())  # first minimum -> lowest threshold on ties
-    if score[best] >= parent_score - _MIN_GAIN:
-        return None
-    i = cuts[best]
-    return float(score[best]), _threshold(float(xs[i]), float(xs[i + 1])), int(left1[best])
-
-
 def _threshold(below: float, above: float) -> float:
     """The midpoint of a cut's two values, or the lower one if it rounds up to the upper."""
     thr = (below + above) / 2.0
     return below if thr >= above else thr
-
-
-def _grow_tree(XT: np.ndarray, y: np.ndarray, params: ForestParams,
-               rng: np.random.Generator) -> _Tree:
-    """One tree on `XT`, the (features, rows) transpose of X, and boolean labels `y`."""
-    d, n = XT.shape
-    mtry = min(params.features_per_split or int(np.ceil(np.sqrt(d))), d)
-    boot = rng.integers(0, n, n)
-    # one row per node in `_NODE_ARRAYS` order, a leaf's until the node
-    # splits; a node's positive count comes from its parent's chosen cut
-    nodes = [[-1, 0.0, -1, -1, 0, 0]]
-    stack = [(0, boot, int(y[boot].sum()), 0)]
-    while stack:
-        node, idx, n1, depth = stack.pop()
-        n0 = len(idx) - n1
-        nodes[node][4:] = n0, n1
-        if (n0 == 0 or n1 == 0 or len(idx) < 2 * params.min_leaf_size
-                or (params.max_depth is not None and depth >= params.max_depth)):
-            continue
-        parent_score = 1.0 - (n0 * n0 + n1 * n1) / (len(idx) * len(idx))
-
-        pos = idx[y[idx]]
-        best = None  # (score, feature, threshold)
-        for rank, f in enumerate(rng.permutation(d)):
-            found = _best_split_on_feature(XT[f], idx, pos, n1, params.min_leaf_size,
-                                           parent_score)
-            if found is not None:
-                cand = (found[0], int(f), found[1])
-                if best is None or cand < best:
-                    best, left1 = cand, found[2]
-            if rank + 1 >= mtry and best is not None:
-                break
-        if best is None:
-            continue
-        _, f, thr = best
-        go_left = XT[f].take(idx) <= thr
-        lid = len(nodes)  # the left child, then the right at lid + 1
-        nodes[node][:4] = f, thr, lid, lid + 1
-        nodes += [-1, 0.0, -1, -1, 0, 0], [-1, 0.0, -1, -1, 0, 0]
-        stack.append((lid + 1, idx[~go_left], n1 - left1, depth + 1))
-        stack.append((lid, idx[go_left], left1, depth + 1))
-    return _tree_from_nodes(nodes)
 
 
 def _tree_from_nodes(nodes: list) -> _Tree:
@@ -248,15 +140,13 @@ def _tree_from_nodes(nodes: list) -> _Tree:
 
 
 def _distinct_rows(XT: np.ndarray, y: np.ndarray):
-    """(group of each row, groups' XT, groups' labels, groups' XT as lists), or None.
+    """(group of each row, groups' XT, groups' labels, groups' XT as lists).
 
     A group is a run of equal (x, y) rows, which canonical order puts side
-    by side.  None where over `_MAX_DISTINCT_SHARE` of the rows are distinct.
+    by side.
     """
     first = np.ones(len(y), dtype=bool)
     first[1:] = (XT[:, 1:] != XT[:, :-1]).any(axis=0) | (y[1:] != y[:-1])
-    if first.sum() > _MAX_DISTINCT_SHARE * len(y):
-        return None
     GT = XT.compress(first, axis=1)
     return first.cumsum() - 1, GT, y[first], [_interned(col) for col in GT]
 
@@ -273,7 +163,7 @@ def _interned(col: np.ndarray) -> list:
 
 
 def _grow_weighted_tree(rows: tuple, params: ForestParams, rng: np.random.Generator) -> _Tree:
-    """`_grow_tree`'s tree, grown on the `_distinct_rows` that its bootstrap draws.
+    """One tree, grown on the `_distinct_rows` that its bootstrap draws.
 
     Each node holds distinct rows, each weighted by its draws; a node of at
     most `_SMALL_NODE` of them, and its whole subtree, runs on Python lists.
@@ -359,7 +249,7 @@ def _weighted_split(column: np.ndarray, idx: np.ndarray, w: np.ndarray, w1: np.n
 
     The cut is of the distinct rows `idx`, weighted by `w`, of which `w1`
     is positive.  Below a cut between two distinct values lie exactly the
-    rows that `_best_split_on_feature` puts left, so the score has its bits.
+    bootstrap rows that a per-row search puts left, so the score has its bits.
     """
     xs = column.take(idx)
     order = xs.argsort()  # any order of tied values gives the same sums at a cut
@@ -581,14 +471,13 @@ def _grow_trees(fits: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]],
     then raises.
     """
     count = params.tree_count
-    grouped = [_distinct_rows(XT, y) for XT, y, _ in fits]  # once per fit, before any fork
-    jobs = [(fit, rows, t) for fit, rows in zip(fits, grouped) for t in range(count)]
+    grouped = [(_distinct_rows(XT, y), key) for XT, y, key in fits]  # once per fit, before any fork
+    jobs = [(rows, key, t) for rows, key in grouped for t in range(count)]
     workers = _worker_count(len(jobs), count * sum(len(y) for _, y, _ in fits))
 
     def grow(chunk: int) -> list[_Tree]:
-        return [_grow_tree(XT, y, params, generator(key, t)) if rows is None
-                else _grow_weighted_tree(rows, params, generator(key, t))
-                for (XT, y, key), rows, t in jobs[chunk::workers]]
+        return [_grow_weighted_tree(rows, params, generator(key, t))
+                for rows, key, t in jobs[chunk::workers]]
 
     chunks = {}
     pipes = {}  # pid -> (chunk, read end of its pipe)

@@ -418,8 +418,9 @@ def training_pairs_loop(g, excluded, size_per_class, rng):
 
 # -- forest growing ----------------------------------------------------------------
 #
-# The per-node engine `forest._grow_tree` replaced: every drawn feature's
-# rows gathered from row-major X, argsorted, and their labels cumulated.
+# A per-row engine: every drawn feature's rows gathered from row-major X,
+# argsorted, and their labels cumulated.  `forest._grow_weighted_tree` must
+# give its trees node for node.
 
 
 def _split_reference(x, y, min_leaf, parent_score):

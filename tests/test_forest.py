@@ -211,7 +211,7 @@ def _batch():
 
 
 def _serial_grow_trees(fits, params):
-    return [[forest._grow_tree(XT, y, params, generator(key, t))
+    return [[forest._grow_weighted_tree(forest._distinct_rows(XT, y), params, generator(key, t))
              for t in range(params.tree_count)] for XT, y, key in fits]
 
 
@@ -278,32 +278,13 @@ def test_batch_checks_every_fit_before_growing(monkeypatch):
                       _names(5))
 
 
-@pytest.mark.parametrize("variant", [{}, {"max_depth": 3}, {"features_per_split": 1},
-                                     {"min_leaf_size": 7, "features_per_split": 5},
-                                     {"min_leaf_size": 25}],
-                         ids=["default", "max_depth", "features_per_split", "min_leaf_size",
-                              "min_leaf_25"])
-def test_grow_tree_equals_per_feature_argsort_engine(variant):
-    X, y = _parallel_data()
-    y = y.astype(np.uint8)
-    order = np.lexsort((y,) + tuple(X.T[::-1]))
-    X, y = np.ascontiguousarray(X[order]), y[order]
-    XT = X.T.copy()
-    params = ForestParams(tree_count=1, **variant)
-    mtry = params.features_per_split or 3
-    for t in range(6):
-        tree = forest._grow_tree(XT, y.astype(bool), params, generator((3, 4), t))
-        reference = grow_tree_reference(X, y, params, mtry, generator((3, 4), t))
-        ours = tuple(getattr(tree, name).tolist() for name, _ in forest._NODE_ARRAYS)
-        assert ours == reference
-
-
 # -- trees grown on distinct rows, weighted -----------------------------------------
 
 
-def _repeated_fits():
-    """Fits whose rows repeat, so that they grow through `_grow_weighted_tree`."""
-    from linkanomaly import build_link_training_set, generate_ba, inject_anomalies
+def _reference_fits():
+    """Fits whose rows repeat, and fits whose rows are all or nearly all distinct."""
+    from linkanomaly import (Graph, build_link_training_set, generate_ba, inject_anomalies,
+                             vertex_profile)
 
     g = generate_ba(300, 3, (1, 0))
     g, _ = inject_anomalies(g, 30, (1, 1))
@@ -312,6 +293,13 @@ def _repeated_fits():
     integers = np.column_stack([rng.integers(0, k, 700) for k in (2, 3, 4, 5)]).astype(float)
     half = integers[:350, 1:]
     zeros = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=(900, 4))
+    directed = Graph([f"v{i:03d}" for i in range(300)], rng.integers(0, 300, (1500, 2)), True)
+    directed, _ = inject_anomalies(directed, 30, (2, 1))
+    directed_examples = build_link_training_set(directed, set(), 500, (2, 2))
+    # a vertex's edge scores: anomalous ones lean higher, as the link forest's do
+    meta_y = (rng.random(600) < 0.3).astype(int)
+    profiles = [vertex_profile(rng.beta(2.0 + 2.0 * label, 4.0, rng.integers(1, 40)), 0.5, v)
+                for v, label in enumerate(meta_y)]
     return {
         # a link row is almost a function of its unordered degree pair
         "link_features": (np.array([ex.features for ex in examples]),
@@ -324,11 +312,18 @@ def _repeated_fits():
                                                rng.integers(0, 2, 100)].astype(int)),
         "rows_differing_only_in_zero_sign": (zeros, ((zeros[:, 0] > 0) ^ (zeros[:, 1] < 0)
                                                      ^ (rng.random(900) < 0.2)).astype(int)),
+        # nearly every row distinct: rounded normals, a directed host's 16 link
+        # features, and the seven meta-features of a profile batch
+        "parallel_data": _parallel_data(),
+        "directed_link_features": (np.array([ex.features for ex in directed_examples]),
+                                   np.array([ex.label for ex in directed_examples])),
+        "meta_profiles": (np.array([p.as_row() for p in profiles]), meta_y),
     }
 
 
 _VARIANTS = {"default": {}, "max_depth": {"max_depth": 3}, "features_per_split": {
-    "features_per_split": 1}, "min_leaf_25": {"min_leaf_size": 25}}
+    "features_per_split": 1}, "min_leaf_size": {"min_leaf_size": 7, "features_per_split": 5},
+    "min_leaf_25": {"min_leaf_size": 25}}
 
 
 def _assert_same_trees(ours, theirs):
@@ -339,31 +334,31 @@ def _assert_same_trees(ours, theirs):
 
 
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
-@pytest.mark.parametrize("name", ["integer_columns", "link_features",
+@pytest.mark.parametrize("name", ["directed_link_features", "integer_columns", "link_features",
+                                  "meta_profiles", "parallel_data",
                                   "rows_differing_only_in_label",
                                   "rows_differing_only_in_zero_sign"])
 def test_weighted_tree_equals_per_row_engines(monkeypatch, tmp_path, name, variant):
-    X, y = _repeated_fits()[name]
+    # node for node against the per-row `grow_tree_reference`, then the forest's
+    # bytes serial against forked
+    X, y = _reference_fits()[name]
     params = ForestParams(tree_count=6, **_VARIANTS[variant])
     XT, yb = forest._canonical(X, y, _names(X.shape[1]))
     rows = forest._distinct_rows(XT, yb)
-    assert rows is not None
     calls = {"_weighted_scan": 0, "_weighted_split": 0}
     for search in calls:
         def counted(*args, search=search, found=getattr(forest, search)):
             calls[search] += 1
             return found(*args)
         monkeypatch.setattr(forest, search, counted)
-    mtry = params.features_per_split or int(np.ceil(np.sqrt(X.shape[1])))
+    mtry = min(params.features_per_split or int(np.ceil(np.sqrt(X.shape[1]))), X.shape[1])
     ours = [forest._grow_weighted_tree(rows, params, generator((4, 5), t)) for t in range(6)]
     monkeypatch.undo()
-    _assert_same_trees(ours, [forest._grow_tree(XT, yb, params, generator((4, 5), t))
-                              for t in range(6)])
     sorted_X, sorted_y = XT.T.copy(), yb.astype(np.uint8)
     for t, tree in enumerate(ours):
         reference = grow_tree_reference(sorted_X, sorted_y, params, mtry, generator((4, 5), t))
         assert tuple(getattr(tree, a).tolist() for a, _ in forest._NODE_ARRAYS) == reference
-    # the whole-forest bytes, serial and forked, against the per-row engine's
+    # the whole-forest bytes, serial and forked
     [(_, serial_bytes)] = _fit(monkeypatch, tmp_path, params, None, [(X, y, (4, 5))])
     for workers in (1, 2, 3):
         [(trees, data)] = _fit(monkeypatch, tmp_path, params, workers, [(X, y, (4, 5))])
@@ -385,22 +380,6 @@ def test_distinct_rows_hold_one_float_per_distinct_bit_pattern():
         assert len({id(x) for x in lst}) == len(np.unique(col.view(np.int64)))
 
 
-@pytest.mark.parametrize("distinct, engine", [(100, "_grow_weighted_tree"),
-                                              (101, "_grow_tree")])
-def test_distinct_row_share_picks_the_engine(monkeypatch, distinct, engine):
-    # 200 rows, of which `distinct` differ: at most half distinct grows weighted
-    X = np.r_[np.arange(distinct), np.zeros(200 - distinct)].reshape(-1, 1)
-    y = (X[:, 0] % 2).astype(int)
-    grown = []
-    for name in ("_grow_tree", "_grow_weighted_tree"):
-        def record(*args, name=name, grow=getattr(forest, name)):
-            grown.append(name)
-            return grow(*args)
-        monkeypatch.setattr(forest, name, record)
-    _fit_arrays(X, y, ForestParams(tree_count=3), 1)
-    assert grown == [engine] * 3
-
-
 def _split_columns(rng, size):
     """Columns with heavy ties, signed zeros, runs of adjacent floats, and none of these."""
     adjacent = np.nextafter(1.0, 2.0) + np.arange(4) * np.spacing(1.0)  # odd mantissa first
@@ -415,34 +394,6 @@ def _split_columns(rng, size):
 
 def _split_bits(found):
     return None if found is None else (found[0].hex(), found[1].hex(), found[2])
-
-
-@pytest.mark.parametrize("min_leaf", [1, 3, 25])
-def test_small_node_split_search_equals_numpy_path(monkeypatch, min_leaf):
-    # a run of adjacent floats makes the midpoint round up to the upper value
-    a, b = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
-    assert (a + b) / 2.0 == b
-    small = forest._SMALL_NODE
-    rng = np.random.default_rng(min_leaf)
-    checked = found = 0
-    for n in (small - 1, small, small + 1):
-        for _ in range(40):
-            labels = rng.random(90) < rng.random()
-            for name, column in _split_columns(rng, 90).items():
-                idx = rng.integers(0, 90, n)  # a bootstrap node: repeated rows
-                pos = idx[labels[idx]]
-                n1 = len(pos)
-                # the parent's gini, as `_grow_tree` passes it, and a bar every cut clears
-                for parent_score in (1.0 - ((n - n1) ** 2 + n1 ** 2) / (n * n), 1.0):
-                    results = []
-                    for limit in (n, n - 1):  # plain-Python path, then numpy path
-                        monkeypatch.setattr(forest, "_SMALL_NODE", limit)
-                        results.append(_split_bits(forest._best_split_on_feature(
-                            column, idx, pos, n1, min_leaf, parent_score)))
-                    assert results[0] == results[1], (name, n)
-                    checked += 1
-                    found += results[0] is not None
-    assert found > checked // 4  # most cases did split, so the scan was compared
 
 
 @pytest.mark.parametrize("min_leaf", [1, 3, 25])
@@ -546,14 +497,17 @@ def test_predict_loaded_forest_with_scattered_children(tmp_path):
 
 
 def _failing_grow_tree(fail_tree, action):
-    """`_grow_tree` that first runs `action` for the tree whose stream is `fail_tree`."""
-    grow = forest._grow_tree
+    """(`_grow_weighted_tree` that first runs `action` for the tree whose stream is
+    `fail_tree`, the list of trees it ran `action` for in this process)."""
+    grow, fired = forest._grow_weighted_tree, []
 
-    def grow_or_fail(XT, y, params, rng):
-        if tuple(rng.bit_generator.seed_seq.entropy) == fail_tree:
+    def grow_or_fail(rows, params, rng):
+        key = tuple(rng.bit_generator.seed_seq.entropy)
+        if key == fail_tree:
+            fired.append(key)
             action()
-        return grow(XT, y, params, rng)
-    return grow_or_fail
+        return grow(rows, params, rng)
+    return grow_or_fail, fired
 
 
 class _TreeFailure(Exception):
@@ -570,12 +524,14 @@ def _raise():
                               "fit1-parent", "fit1-worker1", "fit1-worker2"])
 def test_tree_error_raises_its_own_type_in_the_parent(monkeypatch, fail_tree):
     X, y = _parallel_data()
+    grow_or_fail, fired = _failing_grow_tree(fail_tree, _raise)
     monkeypatch.setattr(forest, "_worker_count", lambda jobs, work: 3)
-    monkeypatch.setattr(forest, "_grow_tree", _failing_grow_tree(fail_tree, _raise))
+    monkeypatch.setattr(forest, "_grow_weighted_tree", grow_or_fail)
     with pytest.raises(_TreeFailure, match="tree failed"):
         train_forests([(X, y, 1), (X[:250], y[:250], 2)], ForestParams(tree_count=9),
                       _names(5))
     _assert_no_children_left()
+    assert fired == [fail_tree]  # in the parent: grown there, or regrown after its worker failed
 
 
 # the batch's 8-tree fits make (5, 7, 2) job 10 and (5, 7, 3) job 11
@@ -591,9 +547,11 @@ def test_killed_worker_chunk_is_regrown(monkeypatch, tmp_path, fail_tree):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(forest, "_grow_tree", _failing_grow_tree(fail_tree, die_in_worker))
+    grow_or_fail, fired = _failing_grow_tree(fail_tree, die_in_worker)
+    monkeypatch.setattr(forest, "_grow_weighted_tree", grow_or_fail)
     regrown = _fit(monkeypatch, tmp_path, params, 3, fits)
     _assert_no_children_left()
+    assert fired == [fail_tree]  # the tree's worker died on it, and the parent regrew it
     assert [data for _, data in regrown] == serial_bytes
 
 
