@@ -3,9 +3,10 @@
 Vertex names become dense integer ids in one place, :func:`graph_from_names`,
 which :func:`build_graph` and the edge-list loader both call: ids go in
 sorted name order, so the same edge multiset yields an identical graph in
-any input order.  One :class:`Graph` method cleans id rows, for the
-constructor and for :meth:`Graph.with_vertices`: it drops self-loops and
-duplicates, counting both, and puts undirected rows in (min, max) form.
+any input order.  The :class:`Graph` constructor is the one place that cleans
+id rows, also for a host grown by new vertices, which is built whole: it drops
+self-loops and duplicates, counting both, and puts undirected rows in (min,
+max) form.
 Each neighbor view (all, in, out) is one ascending int64 array of edge
 keys `row * n + col`, from which its CSR row offsets and sorted int32
 neighbor ids are derived, and a bit table of at least 8 bits per key.  The
@@ -79,8 +80,8 @@ class _View(NamedTuple):
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The distinct values of the ascending int64 arrays `a` and `b`, ascending;
-    a stable sort (timsort) merges the two runs in linear time, and a graph
-    built whole, with `a` empty, skips the copy and the merge."""
+    a stable sort (timsort) merges the two runs in linear time, and with `a`
+    empty there is nothing to merge."""
     if len(a):
         b = np.concatenate([a, b])
         b.sort(kind="stable")
@@ -122,37 +123,24 @@ class Graph:
     and repeated rows (a reversed row repeats an undirected edge), keeps
     the counts in `dropped_self_loops` and `dropped_duplicates`, and stores
     the rest sorted, undirected rows as (min, max).  Graphs from names come
-    from :func:`build_graph` or :func:`linkanomaly.io.load_edge_list`;
-    :meth:`with_vertices` extends one.
+    from :func:`build_graph` or :func:`linkanomaly.io.load_edge_list`.
     """
 
     def __init__(self, names: Sequence[str], edges: np.ndarray, directed: bool,
                  labels: np.ndarray | None = None):
         self.directed = bool(directed)
-        self._names: list[str] = []
-        self._name_to_id: dict[str, int] = {}
-        self._edges = np.empty((0, 2), dtype=np.int64)
-        self._labels = np.empty(0, dtype=np.int8)
-        self._add(names, edges, labels)
-
-    def _add(self, names: Sequence[str], edges: np.ndarray, labels: np.ndarray | None) -> None:
-        """Append `names` as vertices carrying `labels` (all normal when None)
-        and the id rows `edges`, cleaned as the class docstring says; the
-        drop counts are those of `edges`."""
-        n0, n = len(self._names), len(self._names) + len(names)
-        self._names = self._names + list(names)
-        # the held index is copied, so only the new names are checked
-        index = dict(self._name_to_id)
-        index.update(zip(names, itertools.count(n0)))
-        if len(index) != n:
+        self._names = list(names)
+        n = len(self._names)
+        self._name_to_id = dict(zip(self._names, itertools.count()))
+        if len(self._name_to_id) != n:
             raise ParameterError("vertex names are not unique")
-        self._name_to_id = index
 
-        labels = np.zeros(n - n0, dtype=np.int8) if labels is None else np.asarray(labels, dtype=np.int8)
-        if labels.shape != (n - n0,):
+        # a copy: the read-only flag set here is not the caller's
+        labels = np.zeros(n, dtype=np.int8) if labels is None else np.array(labels, dtype=np.int8)
+        if labels.shape != (n,):
             raise ParameterError("labels array must have one entry per vertex")
-        self._labels = np.concatenate([self._labels, labels])
-        self._labels.setflags(write=False)
+        labels.setflags(write=False)
+        self._labels = labels
 
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges) and (edges.min() < 0 or edges.max() >= n):
@@ -164,14 +152,12 @@ class Graph:
             np.minimum(keys, v * n + u, out=keys)
         keys = keys[u != v]
         self.dropped_self_loops = len(edges) - len(keys)
-        # canonical order: sorted by (u, v), each row once; the held rows keep
-        # their order under the new n, so the new keys merge into them
+        # canonical order: sorted by (u, v), each row once
         keys.sort()
-        held = self._edges[:, 0] * n + self._edges[:, 1]
-        out = _union(held, keys)
-        self.dropped_duplicates = len(held) + len(keys) - len(out)
-        del keys, held
-        self._edges = _key_rows(out, n)
+        kept = _union(keys[:0], keys)  # an empty first run: the sorted keys, deduped
+        self.dropped_duplicates = len(keys) - len(kept)
+        del keys
+        self._edges = _key_rows(kept, n)
         # filled by _view; a copy from with_labels shares the dict, so one build serves both
         self._views: dict[str, _View] = {}
 
@@ -242,12 +228,10 @@ class Graph:
         n = len(self._names)
         u, v = self._edges[:, 0], self._edges[:, 1]
         out, into = u * n + v, np.sort(v * n + u)  # out is ascending, as the rows are
+        every = _View.of(_union(out, into), n)
         if not self.directed:
-            # the two halves are disjoint, so merging them drops no key
-            keys = np.concatenate([out, into])
-            keys.sort(kind="stable")
-            return dict.fromkeys(DIRECTION_MODES, _View.of(keys, n))
-        return {"out": _View.of(out, n), "in": _View.of(into, n), "all": _View.of(_union(out, into), n)}
+            return dict.fromkeys(DIRECTION_MODES, every)
+        return {"out": _View.of(out, n), "in": _View.of(into, n), "all": every}
 
     def _vertex_ids(self, vertices) -> np.ndarray:
         """`vertices` as an int64 array, raising for the first id out of range."""
@@ -308,16 +292,6 @@ class Graph:
         arr.setflags(write=False)
         out = copy.copy(self)
         out._labels = arr
-        return out
-
-    def with_vertices(self, names: Sequence[str], edges: np.ndarray,
-                      labels: np.ndarray | None = None) -> "Graph":
-        """This graph with `names` appended as vertices carrying `labels` and
-        the id rows `edges` added: equal to the graph built from the whole
-        lists, with the drop counts of the added rows, but built from this
-        one's name index, sorted rows and degrees."""
-        out = copy.copy(self)
-        out._add(names, edges, labels)
         return out
 
     # -- equality (semantic, name-based) ------------------------------------

@@ -35,8 +35,8 @@ ATTEMPT_FACTOR = 100
 # vertices whose first m target draws `generate_ba` makes in one call
 _BA_BLOCK = 256
 
-# 32-bit words that one block of `inject_anomalies` draws at most, unless
-# one fake vertex takes more
+# speculative 32-bit words that each block of `inject_anomalies` draws, or
+# more where one fake vertex takes more
 _INJECT_WORDS = 1 << 16
 
 # picks above which a `choice` call's shuffle runs step by step: the batched
@@ -155,8 +155,9 @@ def inject_anomalies(g: Graph, n: int, seed) -> tuple[Graph, InjectionRecord]:
     edge_counts, targets = _injection_draws(generator(seed), host_degrees, n)
 
     sources = np.repeat(np.arange(host_n, host_n + n, dtype=np.int64), edge_counts)
-    out = g.with_vertices(_fresh_names(g, n), np.column_stack([sources, targets]),
-                          np.full(n, ANOMALOUS, dtype=np.int8))
+    out = Graph(g.names + _fresh_names(g, n),
+                np.concatenate([g.edges, np.column_stack([sources, targets])]), g.directed,
+                np.concatenate([g.labels, np.full(n, ANOMALOUS, dtype=np.int8)]))
     record = InjectionRecord(tuple(range(host_n, host_n + n)), tuple(edge_counts.tolist()), targets)
     return out, record
 
@@ -179,27 +180,24 @@ def _injection_draws(rng, degrees: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     draw gives another degree than the guessed one.
     """
     host_n = len(degrees)
-    # draws a step takes, by the degree its first draw gives
+    # draws a step takes, by the degree its first draw gives: 1 only for a zero
     cost = np.where(degrees == 0, 1, np.where(_choice_tail(degrees, host_n), degrees + 1, 2 * degrees))
-    nonzero = np.count_nonzero(degrees)
-    per_vertex = (host_n - nonzero) / nonzero + cost[degrees > 0].mean()
+    words = max(_INJECT_WORDS, int(cost.max()))
     counts, chunks = [], []
     left = n
     while left:
-        words = max(min(int(left * per_vertex * 1.05) + 64, _INJECT_WORDS), int(cost.max()))
         state = rng.bit_generator.state
         first = rng.integers(host_n, size=words)
-        # each step starts where the one before it ends
+        # each step starts where the one before it ends, through the step
+        # that finds the last vertex still to draw
         steps = cost[first].tolist()
-        starts, p = [], 0
-        while p < words and p + steps[p] <= words:
+        starts, p, found = [], 0, 0
+        while found < left and p < words and p + steps[p] <= words:
             starts.append(p)
+            found += steps[p] > 1
             p += steps[p]
         starts = np.array(starts, dtype=np.int64)
         ks = degrees[first[starts]]
-        # through the step that finds the last vertex still to draw
-        end = int(np.searchsorted(np.cumsum(ks > 0), left)) + 1
-        starts, ks = starts[:end], ks[:end]
         highs = _step_highs(ks, cost[first[starts]], host_n)
 
         rng.bit_generator.state = state

@@ -573,6 +573,30 @@ def test_worker_killed_mid_write_is_regrown(monkeypatch, tmp_path):
     assert [data for _, data in regrown] == serial_bytes
 
 
+# (CPUs in the affinity set, the os.fork calls that fail)
+@pytest.mark.parametrize("cpus, failing", [(2, {1}), (3, {1}), (3, {2})],
+                         ids=["2cpus-first", "3cpus-first", "3cpus-second"])
+def test_fork_failure_leaves_the_rest_to_the_parent(monkeypatch, tmp_path, cpus, failing):
+    params = ForestParams(tree_count=8)
+    fits = _batch()[:2]
+    serial_bytes = [data for _, data in _fit(monkeypatch, tmp_path, params, None, fits)]
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(len(calls) + 1)
+        if calls[-1] in failing:
+            raise OSError("no process to be had")
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", fork)
+    forests = train_forests(fits, params, _names(5))
+    monkeypatch.undo()
+    _assert_no_children_left()
+    assert calls == list(range(1, max(failing) + 1))  # no fork after the one that failed
+    assert [_saved(f, tmp_path / f"fallback-{i}.json") for i, f in enumerate(forests)] == serial_bytes
+
+
 def test_worker_count_bounds():
     cpus = len(os.sched_getaffinity(0))
     floor = forest._MIN_PARALLEL_WORK

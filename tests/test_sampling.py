@@ -251,6 +251,46 @@ def test_injection_draws_equal_the_loop_at_random_degrees(data):
     assert draw_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+class _StateSpy:
+    """A Generator stand-in that records every write of its bit generator's state."""
+
+    def __init__(self, rng):
+        self.rng, self.written = rng, []
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, state):
+        self.written.append(state)
+        self.rng.bit_generator.state = state
+
+
+@pytest.mark.parametrize("key", [(0, 1), (1, 1), (3, 1)])
+def test_injection_draws_replay_a_word_that_lemire_rejected(key):
+    # a bound near 10^6 rejects a 32-bit word about once in 4,500 draws, so a
+    # block of about 13,000 draws usually holds one: the steps after it are
+    # cut, and the stream is put back at the block's start and redrawn
+    degrees = np.random.default_rng(7).integers(0, 4, 1_000_003)
+    spy, loop_rng = _StateSpy(generator(key)), generator(key)
+    edge_counts, targets = _injection_draws(spy, degrees, 3000)
+    loop_counts, loop_targets = injection_draws_loop(degrees, 3000, loop_rng)
+    # each block writes its start state once to undo the speculative draws;
+    # the same state written twice in a row is a replay
+    assert any(a == b for a, b in zip(spy.written, spy.written[1:]))
+    assert tuple(edge_counts.tolist()) == loop_counts
+    assert targets.tolist() == [t for ts in loop_targets for t in ts]
+    assert spy.rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_inject_into_edgeless_host_raises_before_drawing(directed):
     g = build_graph([("a", "a"), ("b", "b")], directed=directed)
