@@ -26,6 +26,12 @@ score is the same float expression of the same integers as on the
 bootstrap's rows one by one, and every tree is the per-row tree.  Where
 rows repeat (on BA hosts a link row is almost a function of the unordered
 degree pair) a node holds far fewer rows to sort.
+
+Predict walks each tree over all rows at once, level by level, with
+absorbing leaves: a leaf is its own left and right child, so a level is
+the same few gathers for every row, and the rows that sit at a leaf
+leave the walk only every `_COMPACT` levels.  A row still meets exactly
+the comparisons of its path, so every score keeps its bits.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ _MIN_PARALLEL_WORK = 5_000
 # Python.  On the meta fits 32 and 64 time alike; 64 also serves the link
 # fit, whose min_leaf_size of 25 leaves such a node few cuts to scan
 _SMALL_NODE = 64
+
+# predict's walk drops the rows that sit at a leaf every this many levels;
+# a finished row rides along for at most this many levels less one
+_COMPACT = 3
 
 
 @dataclass(frozen=True)
@@ -104,27 +114,41 @@ class _Tree:
         """Positive fraction of the leaf that each row reaches.
 
         `XT` is the C-contiguous (features, rows) transpose of X.  The walk
-        keeps only the rows still at an internal node: it reads each one's
-        split value at the flat offset `feature * rows + row`, and its next
-        node at `2 * node + go_left` of the interleaved (right, left) pairs.
+        has absorbing leaves: a leaf's left and right child is the leaf
+        itself, so a row that reaches one stays there, and the rows need
+        no leaf test at each level.  Node i is walked as id 2i, so a row's
+        next id is `child[id + go_left]` of the interleaved (right, left)
+        pairs, and its split value lies at the flat offset
+        `feature * rows + row`.  Every `_COMPACT` levels the rows at a leaf
+        take its fraction and leave the walk.  A row meets the same
+        comparisons on its path as in a leaf-by-leaf walk, and each leaf's
+        fraction is the same float expression, so every bit is kept.
         """
         n = XT.shape[1]
         flat = XT.reshape(-1)
-        feature = self.feature.astype(np.intp)
-        offset = feature * n
-        child = np.column_stack([self.right, self.left]).astype(np.intp).ravel()
-        node = np.zeros(n, dtype=np.intp)
-        idx = np.arange(n) if feature[0] >= 0 else node[:0]
-        cur = node[idx]
+        internal = self.feature >= 0
+        offset = np.where(internal, self.feature, 0).astype(np.intp) * n
+        node = np.arange(len(internal))
+        child = 2 * np.column_stack([np.where(internal, self.right, node),
+                                     np.where(internal, self.left, node)]).astype(np.intp).ravel()
+        fraction = np.zeros(len(internal))
+        c0 = self.count0[~internal].astype(np.float64)
+        c1 = self.count1[~internal].astype(np.float64)
+        fraction[~internal] = c1 / (c0 + c1)
+        offset, threshold, internal, fraction = (
+            a.repeat(2) for a in (offset, self.threshold, internal, fraction))
+        out = np.empty(n)
+        idx = np.arange(n)
+        cur = np.zeros(n, dtype=np.intp)
         while len(idx):
-            go_left = flat.take(offset.take(cur) + idx) <= self.threshold.take(cur)
-            nxt = child.take(2 * cur + go_left)
-            node[idx] = nxt
-            keep = np.flatnonzero(feature.take(nxt) >= 0)
-            idx, cur = idx.take(keep), nxt.take(keep)
-        c0 = self.count0[node].astype(np.float64)
-        c1 = self.count1[node].astype(np.float64)
-        return c1 / (c0 + c1)
+            for _ in range(_COMPACT):
+                at = offset.take(cur)
+                at += idx
+                cur = child.take(cur + (flat.take(at) <= threshold.take(cur)))
+            out[idx] = fraction.take(cur)  # final for the rows at a leaf
+            keep = internal.take(cur).nonzero()[0]
+            idx, cur = idx.take(keep), cur.take(keep)
+        return out
 
 
 def _threshold(below: float, above: float) -> float:

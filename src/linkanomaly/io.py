@@ -153,11 +153,12 @@ def load_vertex_list(path) -> list[str]:
 
 
 def write_profiles_csv(path, profiles: Iterable[VertexAnomalyProfile], g: Graph) -> None:
-    names = g.names
-    fields = attrgetter("vertex", *META_FEATURE_NAMES)
+    profiles = list(profiles)
+    # formatted column by column in chained maps, with no Python-level step per row
+    columns = [map(repr, map(float, map(attrgetter(name), profiles)))
+               for name in META_FEATURE_NAMES]
     _write_csv(path, ["vertex", *META_FEATURE_NAMES],
-               ([names[v], *(repr(float(x)) for x in values)]
-                for v, *values in map(fields, profiles)))
+               zip(map(g.names.__getitem__, map(attrgetter("vertex"), profiles)), *columns))
 
 
 def load_profiles_csv(path) -> list[tuple[str, VertexAnomalyProfile]]:

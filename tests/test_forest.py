@@ -496,6 +496,51 @@ def test_predict_loaded_forest_with_scattered_children(tmp_path):
         assert f.predict_proba_many(layout).tobytes() == predict_proba_loop(f, layout).tobytes()
 
 
+def _chain(first, depth, feature, go_on_left):
+    """Node rows, ids from `first`, of `depth` splits on `feature` in a chain.
+
+    Split k sends a row to its own leaf on one side and on down the chain
+    on the other, so the leaves lie at every depth from 1 to `depth`.  The
+    chain goes on right of thresholds 0, 1, 2, ..., or left of 0, -1, -2,
+    ...; each leaf has its own fraction, and the splits count no rows.
+    """
+    rows = []
+    for k in range(depth):
+        node = first + 2 * k
+        on, leaf = node + 2, node + 1
+        thr = 0.0 - k if go_on_left else float(k)
+        rows += [[feature, thr, *((on, leaf) if go_on_left else (leaf, on)), 0, 0],
+                 [-1, 0.0, -1, -1, k + 1, 2 * depth - k]]
+    return rows + [[-1, 0.0, -1, -1, 1, 3 * depth]]
+
+
+# the walk's compaction periods tried; the trees reach every residue of each
+_COMPACTS = [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("compact", [None, *_COMPACTS])
+def test_predict_finishes_rows_at_every_depth(monkeypatch, compact):
+    """Leaves at depths 0 to 2 * max(_COMPACTS) + 1, on NaN, infinities and signed zeros."""
+    if compact is not None:
+        monkeypatch.setattr(forest, "_COMPACT", compact)
+    depth = 2 * max(_COMPACTS) + 1
+    leaf = [-1, 0.0, -1, -1, 2, 3]
+    trees = [_chain(0, depth, 0, False), _chain(0, depth, 1, True),
+             # -0.0 and 0.0 go left of 0.0 into a chain; NaN goes right, to a leaf
+             [[2, 0.0, 1, 2 + 2 * depth, 0, 0], *_chain(1, depth, 0, False), leaf], [leaf]]
+    chains = LinkForest([forest._tree_from_nodes(t) for t in trees],
+                        ForestParams(tree_count=len(trees)), 1, _names(3))
+    all_leaf = LinkForest([forest._tree_from_nodes([[-1, 0.0, -1, -1, c, 1]]) for c in (0, 4)],
+                          ForestParams(tree_count=2), 1, _names(3))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    columns = ([*range(depth + 1), 0.5, *special], [0.5, *(-np.arange(depth + 1.0)), *special],
+               [1.0, *special])
+    X = np.array(np.meshgrid(*columns, indexing="ij")).reshape(3, -1).T
+    for f in (chains, all_leaf):
+        for layout in _layouts(X):
+            assert f.predict_proba_many(layout).tobytes() == predict_proba_loop(f, layout).tobytes()
+
+
 def _failing_grow_tree(fail_tree, action):
     """(`_grow_weighted_tree` that first runs `action` for the tree whose stream is
     `fail_tree`, the list of trees it ran `action` for in this process)."""
